@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -106,10 +107,12 @@ func TestRunCheckRejectsBadInput(t *testing.T) {
 
 // TestCommittedGateFilesDecode pins the CI gate inputs: both committed
 // request files must decode strictly and validate, and they must differ
-// only in the queue bound under test. The actual pass/fail verdicts run in
-// CI through the built binary (and the verify package's own tests cover the
-// math); this keeps a refactor of the request schema from silently
-// orphaning the gate files.
+// only in the queue bound under test; this keeps a refactor of the request
+// schema from silently orphaning the gate files. It then pins what all four
+// committed gates compute — the product chain's state count and the
+// violation probability — so a refactor of the policies, the queue model or
+// the checker cannot move the verified numbers while the verdicts still
+// happen to hold.
 func TestCommittedGateFilesDecode(t *testing.T) {
 	var reqs [2]disarcloud.VerifyRequest
 	for i, name := range []string{"verify_default.json", "verify_violation.json"} {
@@ -136,5 +139,33 @@ func TestCommittedGateFilesDecode(t *testing.T) {
 	b, _ := json.Marshal(reqs[1])
 	if !bytes.Equal(a, b) {
 		t.Fatalf("gate files differ beyond the queue bound:\n%s\n%s", a, b)
+	}
+
+	for _, gate := range []struct {
+		file       string
+		states     int
+		pViolation float64
+		pass       bool
+	}{
+		{"verify_default.json", 115317, 0.007319603623, true},
+		{"verify_violation.json", 115317, 0.615417764915, false},
+		{"verify_learned.json", 19493, 0.001152031207, true},
+		{"verify_learned_violation.json", 19493, 0.144735634477, false},
+	} {
+		var out bytes.Buffer
+		err := runCheck(filepath.Join("testdata", gate.file), &out)
+		if (err == nil) != gate.pass {
+			t.Fatalf("%s: verdict error %v, want pass=%v", gate.file, err, gate.pass)
+		}
+		var report disarcloud.VerifyReport
+		if err := json.Unmarshal(out.Bytes(), &report); err != nil {
+			t.Fatalf("%s: report is not JSON: %v", gate.file, err)
+		}
+		if report.Pass != gate.pass || report.Properties.States != gate.states ||
+			math.Abs(report.Properties.PViolation-gate.pViolation) > 5e-13 {
+			t.Errorf("%s: pass=%v states=%d p_violation=%.12f, want pass=%v states=%d p_violation=%.12f",
+				gate.file, report.Pass, report.Properties.States, report.Properties.PViolation,
+				gate.pass, gate.states, gate.pViolation)
+		}
 	}
 }

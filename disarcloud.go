@@ -256,19 +256,15 @@ var (
 	ErrUnknownCampaign = core.ErrUnknownCampaign
 )
 
-// Elastic control plane: the autoscaling controller that grows and shrinks
-// the service's worker pool from load and predictor signals, plus the
+// Elastic control plane: the scaling policies that grow and shrink the
+// service's worker pool from load and predictor signals, plus the
 // deadline-aware admission control of the EDF scheduler.
 type (
-	// ElasticConfig parameterises the autoscaling controller (pool bounds,
-	// pressure thresholds, cooldowns, hysteresis).
+	// ElasticConfig parameterises the threshold scaling policies (pool
+	// bounds, pressure thresholds, cooldowns, hysteresis).
 	ElasticConfig = elastic.Config
-	// ElasticSignals is one load observation the controller decides on.
-	ElasticSignals = elastic.Signals
 	// ScalingEvent is one autoscaler decision with the signals behind it.
 	ScalingEvent = core.ScalingEvent
-	// AutoscalerStatus is a point-in-time view of the control plane.
-	AutoscalerStatus = core.AutoscalerStatus
 	// RuntimeEstimator predicts a job's runtime for admission control.
 	RuntimeEstimator = core.RuntimeEstimator
 	// EstimatorFunc adapts a function to RuntimeEstimator.
@@ -333,10 +329,11 @@ var (
 
 // Policy verification: probabilistic model checking of the scaling
 // policies. A VerifyRequest composes a policy configuration with a trace
-// spec's Markov arrival model; VerifyPolicy builds the exact product chain
-// and computes the SLA-violation probability, expected worker-seconds and
-// expected resize churn by value iteration (see internal/verify for the
-// state encoding and the soundness caveats of the service abstraction).
+// spec's Markov arrival model; VerifyPolicy steps the very policy the
+// service would run into the exact product chain and computes the
+// SLA-violation probability, expected worker-seconds and expected resize
+// churn by value iteration (see internal/verify for the soundness caveats
+// of the service abstraction).
 type (
 	// VerifyRequest is one model-checking problem: policy + arrival model
 	// + SLA, decoded from JSON by `disard -check`.
@@ -346,20 +343,6 @@ type (
 	VerifySLA = verify.SLA
 	// VerifyReport is the verdict plus the exact computed properties.
 	VerifyReport = verify.Report
-	// VerifyProperties are the exact quantities value iteration computed.
-	VerifyProperties = verify.Properties
-	// VerifySweepSpec grids a base request over policy parameters.
-	VerifySweepSpec = verify.SweepSpec
-	// VerifySweepPoint is one sweep cell, flagged when Pareto-optimal on
-	// (violation probability, expected worker-seconds).
-	VerifySweepPoint = verify.SweepPoint
-	// VerifyReplayStats summarises an empirical replay cross-validation.
-	VerifyReplayStats = verify.ReplayStats
-	// VerifyArrivalModel is a discretized Markov arrival process.
-	VerifyArrivalModel = verify.ArrivalModel
-	// ScalingPolicy is the pluggable decision layer of the elastic
-	// control loop — the seam internal/verify model-checks.
-	ScalingPolicy = core.ScalingPolicy
 )
 
 // Learned autoscaling policy (internal/rl): a tabular Q-learning policy
@@ -372,15 +355,6 @@ type (
 	// QTable is a trained learned-policy artifact: the training spec plus
 	// the learned action values; its greedy Step is the policy.
 	QTable = rl.Table
-	// QTableSpec fixes a learned policy's discretization, action set,
-	// reward weights and training hyperparameters.
-	QTableSpec = rl.Spec
-	// PolicySimResult is one deterministic policy-replay scorecard
-	// (latency quantiles, worker-seconds, resizes, violations).
-	PolicySimResult = rl.SimResult
-	// ParameterizedPolicy is the optional ScalingPolicy interface that
-	// surfaces hyperparameters through AutoscalerStatus.
-	ParameterizedPolicy = core.ParameterizedPolicy
 )
 
 // QTableVersion is the Q-table artifact format this build reads and writes.
@@ -394,29 +368,12 @@ var (
 	DefaultQTableSpec = rl.DefaultSpec
 	// LoadQTable reads a Q-table artifact from disk (strict decode).
 	LoadQTable = rl.LoadTableFile
-	// DecodeQTable reads a serialized Q-table (strict decode).
-	DecodeQTable = rl.DecodeTable
 	// WithLearnedPolicy installs a trained Q-table as the control loop's
 	// decision layer (requires WithElastic).
 	WithLearnedPolicy = core.WithLearnedPolicy
-)
-
-var (
 	// VerifyPolicy model-checks one request; an SLA violation is reported
 	// as Pass=false, not as an error.
 	VerifyPolicy = verify.Check
-	// VerifySweep evaluates a parameter grid and marks the Pareto front.
-	VerifySweep = verify.Sweep
-	// VerifyReplay cross-validates a request empirically: seeded trace
-	// replays through the real elastic controller.
-	VerifyReplay = verify.Replay
-	// VerifyModelFromCounts discretizes recorded per-tick arrival counts
-	// (e.g. forecast.Recorder telemetry) into an arrival model, so live
-	// demand can be verified against, not just synthetic specs.
-	VerifyModelFromCounts = verify.ModelFromCounts
-	// WithScalingPolicy injects a custom scaling policy into the control
-	// loop (requires WithElastic).
-	WithScalingPolicy = core.WithScalingPolicy
 )
 
 // Service construction.

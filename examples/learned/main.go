@@ -4,8 +4,8 @@
 // through the deterministic backlog simulator under the reactive, hybrid
 // and learned policies — the learned table should cut the hybrid's p95
 // latency at equal or lower worker-seconds on every family. Part two
-// model-checks the same table exactly (internal/verify re-encodes it as a
-// tick FSM) against the shipped SLA, the gate CI runs on every push. Part
+// model-checks the same table exactly (internal/verify enumerates the
+// table's own Step) against the shipped SLA, the gate CI runs on every push. Part
 // three installs the table as a live service's scaling policy and reads the
 // active policy and its hyperparameters back off the autoscaler status —
 // what GET /v1/autoscaler serves on the daemon.
@@ -45,7 +45,7 @@ func main() {
 
 	// The same table, bounded exactly: P(queue >= 32 within 60 ticks) under
 	// the diurnal family, computed by exhaustive model checking — not
-	// sampling — of the policy's tick FSM.
+	// sampling — of the table's Step.
 	report, err := disarcloud.VerifyPolicy(disarcloud.VerifyRequest{
 		Policy:        "learned",
 		Table:         table,

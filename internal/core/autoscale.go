@@ -106,10 +106,11 @@ type AutoscalerStatus struct {
 	// "learned", or a custom WithScalingPolicy implementation); empty on a
 	// fixed pool.
 	Policy string
-	// PolicyParams reports the active policy's hyperparameters when it
-	// implements ParameterizedPolicy (all built-in policies do): controller
-	// thresholds for reactive, thresholds plus headroom for hybrid, the
-	// Q-table's training hyperparameters for learned. Nil otherwise.
+	// PolicyParams reports the active policy's hyperparameters, a flat
+	// name->value map stable enough to diff across deploys, when it has a
+	// Params method (all built-in policies do): thresholds for reactive,
+	// thresholds plus the planner's headroom for hybrid, the Q-table's
+	// training hyperparameters for learned. Nil otherwise.
 	PolicyParams map[string]float64
 	// Workers is the pool's current target; LiveWorkers counts goroutines
 	// still draining after a shrink decision.
@@ -120,7 +121,7 @@ type AutoscalerStatus struct {
 	InFlight int
 	// BacklogETASeconds is the estimator-summed runtime of the queued jobs.
 	BacklogETASeconds float64
-	// Config is the controller configuration in force (zero when disabled).
+	// Config is the elastic configuration in force (zero when disabled).
 	Config elastic.Config
 	// DroppedEvents counts scaling events lost to slow subscribers over the
 	// service's lifetime (summed across subscribers, unsubscribed ones
@@ -151,11 +152,16 @@ type eventSub struct {
 }
 
 // autoscaler is the service-side state of the elastic control plane: the
-// controller, the decision history ring, and the event subscribers.
+// controller driving the scaling policy, the decision history ring, and the
+// event subscribers.
 type autoscaler struct {
 	ctrl      *elastic.Controller
+	cfg       elastic.Config // defaulted
 	tick      time.Duration
 	newTicker TickerFunc
+	// lastSubmitted differences the scheduler's monotone submission counter
+	// into per-tick arrivals; only the control loop touches it.
+	lastSubmitted uint64
 
 	mu           sync.Mutex
 	recent       []ScalingEvent
@@ -294,11 +300,15 @@ func (s *Service) AutoscalerStatus() AutoscalerStatus {
 	}
 	if s.scaler != nil {
 		out.Enabled = true
-		out.Policy = s.policy.Name()
-		if pp, ok := s.policy.(ParameterizedPolicy); ok {
-			out.PolicyParams = pp.PolicyParams()
+		pol := s.scaler.ctrl.Policy()
+		out.Policy = pol.Name()
+		if pp, ok := pol.(interface{ Params() map[string]float64 }); ok {
+			out.PolicyParams = pp.Params()
+			if s.fc != nil {
+				out.PolicyParams["headroom"] = s.fc.planner.Headroom
+			}
 		}
-		out.Config = s.scaler.ctrl.Config()
+		out.Config = s.scaler.cfg
 		out.DroppedEvents = s.scaler.dropped()
 		out.Recent = s.scaler.snapshotRecent()
 	}
@@ -340,33 +350,30 @@ func (s *Service) controlLoop() {
 	}
 }
 
-// controlTick is one control-loop iteration: sample the scheduler, feed the
-// forecast recorder, ask the scaling policy for a decision, and apply it.
-// The decision logic itself lives behind the ScalingPolicy seam
-// (scalepolicy.go): reactivePolicy wraps the elastic controller,
-// hybridPolicy overlays the forecast planner, and WithScalingPolicy can
-// substitute anything else.
+// controlTick is one control-loop iteration: sample the scheduler into an
+// observation — the tick's arrivals, differenced once, are both its arrival
+// rate and the forecast recorder's sample, and the forecast planner's
+// target rides along as Obs.Plan — step the scaling policy through the
+// controller, and apply its decision.
 func (s *Service) controlTick(now time.Time) {
 	st := s.sched.stats()
-	if s.fc != nil {
-		s.fc.record(now, st)
-	}
-	if lp, ok := s.policy.(*learnedPolicy); ok {
-		// The learned policy measures its arrival rate by differencing the
-		// scheduler's monotone submission counter across ticks.
-		lp.observe(st)
-	}
-	sig := elastic.Signals{
-		Now:               now,
+	arrivals := st.SubmittedTotal - s.scaler.lastSubmitted
+	s.scaler.lastSubmitted = st.SubmittedTotal
+	obs := elastic.Obs{
 		Queued:            st.Queued,
 		InFlight:          st.InFlight,
 		Workers:           st.Target,
 		BacklogETASeconds: st.QueuedETA,
+		RatePerTick:       float64(arrivals),
 	}
 	if !st.EarliestDeadline.IsZero() {
-		sig.SlackSeconds = st.EarliestDeadline.Sub(now).Seconds()
+		obs.SlackSeconds = st.EarliestDeadline.Sub(now).Seconds()
 	}
-	dec, act := s.policy.Decide(sig)
+	if s.fc != nil {
+		s.fc.record(now, st, int(arrivals))
+		obs.Plan = s.fc.plan(s.scaler.tick, s.scaler.cfg.MaxWorkers)
+	}
+	dec, act := s.scaler.ctrl.Decide(elastic.Signals{Now: now, Obs: obs})
 	if !act || dec.Target == st.Target {
 		return
 	}

@@ -290,6 +290,15 @@ func (s *Service) CampaignResult(ctx context.Context, id CampaignID) (*CampaignR
 	if err != nil {
 		return nil, err
 	}
+	// Settle first: a job's failure or cancellation is reported only once
+	// its siblings — and with them the campaign's status — are terminal too.
+	for _, j := range c.all() {
+		select {
+		case <-j.doneCh:
+		case <-ctx.Done():
+			return nil, fmt.Errorf("core: campaign %s: %w", id, ctx.Err())
+		}
+	}
 	baseRep, err := awaitJob(ctx, c.base)
 	if err != nil {
 		return nil, fmt.Errorf("core: campaign %s base job: %w", id, err)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"sort"
 	"testing"
 
 	"disarcloud/internal/actuarial"
@@ -310,6 +311,72 @@ func TestRunSimulationEndToEnd(t *testing.T) {
 	}
 	if rep.Params.RepresentativeContracts != 2 {
 		t.Fatalf("aggregate params wrong: %+v", rep.Params)
+	}
+}
+
+// TestRunSimulationTotalsBitDeterministic: from three blocks on float
+// addition order matters (eight make a stray order show within a few runs),
+// so the portfolio totals must be summed in sorted block-ID order — repeated
+// runs agree to the bit, and with that order.
+func TestRunSimulationTotalsBitDeterministic(t *testing.T) {
+	market := stochastic.Config{
+		Horizon:      6,
+		StepsPerYear: 1,
+		Rate: stochastic.VasicekParams{
+			R0: 0.02, Speed: 0.3, MeanP: 0.03, MeanQ: 0.025, Sigma: 0.008,
+		},
+		Equities: []stochastic.GBMParams{{S0: 100, Mu: 0.06, Sigma: 0.18}},
+		Credit:   stochastic.CIRParams{L0: 0.008, Speed: 0.5, Mean: 0.012, Sigma: 0.03},
+	}
+	p := &policy.Portfolio{Name: "blocks"}
+	for i := 0; i < 8*maxContractsPerBlock; i++ {
+		p.Contracts = append(p.Contracts, policy.Contract{
+			Kind: policy.Endowment, Age: 30 + i%35, Gender: actuarial.Male, Term: 3 + i%4,
+			InsuredSum: 1000 * float64(1+i%7), Beta: 0.8, TechnicalRate: 0.01, Count: 1 + i%5,
+		})
+	}
+	spec := SimulationSpec{
+		Portfolio:   p,
+		Fund:        fund.TypicalItalianFund(4, market),
+		Market:      market,
+		Outer:       6,
+		Inner:       2,
+		Constraints: provision.Constraints{TmaxSeconds: 3600, MaxNodes: 4, Epsilon: 0},
+		MaxWorkers:  2,
+		Seed:        7,
+	}
+	var firstBEL, firstSCR uint64
+	for run := 0; run < 8; run++ {
+		d, err := NewDeployer(61)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := d.RunSimulation(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Results) < 3 {
+			t.Fatalf("%d blocks, want at least 3", len(rep.Results))
+		}
+		ids := make([]string, 0, len(rep.Results))
+		for id := range rep.Results {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		var bel, scr float64
+		for _, id := range ids {
+			bel += rep.Results[id].BEL
+			scr += rep.Results[id].SCR
+		}
+		if math.Float64bits(rep.BEL) != math.Float64bits(bel) || math.Float64bits(rep.SCR) != math.Float64bits(scr) {
+			t.Fatalf("run %d: totals BEL=%x SCR=%x are not the sorted-block-order sums %x / %x",
+				run, math.Float64bits(rep.BEL), math.Float64bits(rep.SCR), math.Float64bits(bel), math.Float64bits(scr))
+		}
+		if run == 0 {
+			firstBEL, firstSCR = math.Float64bits(rep.BEL), math.Float64bits(rep.SCR)
+		} else if math.Float64bits(rep.BEL) != firstBEL || math.Float64bits(rep.SCR) != firstSCR {
+			t.Fatalf("run %d: totals differ from run 0 in their bits", run)
+		}
 	}
 }
 

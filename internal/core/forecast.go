@@ -57,9 +57,9 @@ type forecastState struct {
 	est RuntimeEstimator
 
 	mu sync.Mutex
-	// lastSubmitted / lastCompleted difference the scheduler's monotone
-	// counters into per-interval rates.
-	lastSubmitted, lastCompleted uint64
+	// lastCompleted differences the scheduler's monotone completion counter
+	// into per-interval counts.
+	lastCompleted uint64
 	// predOcc is the EWMA of predicted per-job worker occupancy in seconds
 	// (KB-ensemble estimate scaled by the job's pace factor); measOcc the
 	// EWMA of measured wall-clock job durations — the bootstrap fallback
@@ -70,9 +70,6 @@ type forecastState struct {
 	ticks      int
 	choice     forecast.Choice
 	haveChoice bool
-	// lowTicks counts consecutive ticks the planner's target sat below the
-	// pool — the persistence gate of the feed-forward release path.
-	lowTicks int
 	// lastScores is the most recent reselection's scoreboard, kept even
 	// when no candidate won so the skip reasons stay diagnosable.
 	lastScores []forecast.Score
@@ -101,18 +98,16 @@ func newForecastState(cfg forecast.Config, est RuntimeEstimator) (*forecastState
 	}, nil
 }
 
-// record turns one scheduler snapshot into a telemetry sample: the counter
-// deltas since the previous tick become the interval's submission and
-// completion counts.
-func (f *forecastState) record(now time.Time, st schedStats) {
+// record turns one scheduler snapshot and the tick's arrival count into a
+// telemetry sample.
+func (f *forecastState) record(now time.Time, st schedStats, arrivals int) {
 	f.mu.Lock()
-	subs := st.SubmittedTotal - f.lastSubmitted
 	comps := st.CompletedTotal - f.lastCompleted
-	f.lastSubmitted, f.lastCompleted = st.SubmittedTotal, st.CompletedTotal
+	f.lastCompleted = st.CompletedTotal
 	f.mu.Unlock()
 	f.rec.Add(forecast.Sample{
 		At:                now,
-		Submissions:       int(subs),
+		Submissions:       arrivals,
 		Completions:       int(comps),
 		QueueDepth:        st.Queued,
 		BacklogETASeconds: st.QueuedETA,
@@ -144,18 +139,6 @@ func (f *forecastState) observePredicted(seconds float64) { f.foldOcc(&f.predOcc
 // while the ensemble is still untrained (the bootstrap phase).
 func (f *forecastState) observeMeasured(seconds float64) { f.foldOcc(&f.measOcc, seconds) }
 
-// resetShed restarts the release path's persistence window. The control
-// loop calls it whenever a scaling decision other than a forecast-idle
-// release is applied: the planner sitting below the pool during a reactive
-// grow must not count toward shedding, or a worker could be released one
-// tick after a mid-burst grow — the exact thrash the reactive controller's
-// own cooldowns exist to prevent.
-func (f *forecastState) resetShed() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.lowTicks = 0
-}
-
 // meanRuntimeLocked is the planner's per-job occupancy: the leaner of the
 // KB-ensemble prediction and the measured wall-clock EWMA, either alone
 // when only one signal exists (measured carries the bootstrap phase before
@@ -177,26 +160,15 @@ func (f *forecastState) meanRuntimeLocked() float64 {
 	}
 }
 
-// shedStableTicks is how many consecutive ticks the planner's target must
-// sit below the pool before the release path may shed a worker: long
-// enough that one noisy interval cannot flap the pool, short enough that
-// surplus capacity is released well before the reactive idle path — which
-// must wait for the pressure gauge to fall and stay below its threshold —
-// would notice.
-const shedStableTicks = 2
-
 // plan produces the proactive worker target for the next interval:
 // forecast the coming arrivals with the incumbent model (reselecting by
 // rolling backtest every ReselectEvery ticks), convert to a rate, and
 // apply Little's law with headroom. A target of 0 means "no opinion" — not
 // enough history, no fitted model, or no runtime signal yet — and leaves
-// the reactive controller alone. The second return reports whether the
-// target has now sat below the current pool for shedStableTicks
-// consecutive ticks — the forecast-side signal that surplus capacity can
-// be released ahead of the reactive idle path.
-func (f *forecastState) plan(tick time.Duration, maxWorkers, current int) (int, bool) {
+// the reactive policy alone.
+func (f *forecastState) plan(tick time.Duration, maxWorkers int) int {
 	if f.rec.Len() < f.cfg.MinSamples {
-		return 0, false
+		return 0
 	}
 	series := f.rec.Arrivals()
 	f.mu.Lock()
@@ -245,8 +217,7 @@ func (f *forecastState) plan(tick time.Duration, maxWorkers, current int) (int, 
 	}
 	if !f.haveChoice {
 		f.lastTarget = 0
-		f.lowTicks = 0
-		return 0, false
+		return 0
 	}
 	// Mean over the horizon, non-finite and negative steps floored to 0:
 	// the demand signal is a count, one spiky extrapolation step must not
@@ -266,15 +237,7 @@ func (f *forecastState) plan(tick time.Duration, maxWorkers, current int) (int, 
 		target = maxWorkers
 	}
 	f.lastTarget = target
-	// The release path keeps a one-worker cushion above the forecast:
-	// shedding all the way down to the planner target would strip the
-	// slack that absorbs the first interval of the next burst.
-	if target > 0 && target < current-1 {
-		f.lowTicks++
-	} else {
-		f.lowTicks = 0
-	}
-	return target, f.lowTicks >= shedStableTicks
+	return target
 }
 
 // status snapshots the subsystem for ForecastStatus.

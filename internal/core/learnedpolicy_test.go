@@ -29,8 +29,11 @@ func coreTestTable(t *testing.T) *rl.Table {
 // tests.
 type stubPolicy struct{}
 
-func (stubPolicy) Name() string                                    { return "stub" }
-func (stubPolicy) Decide(elastic.Signals) (elastic.Decision, bool) { return elastic.Decision{}, false }
+func (stubPolicy) Name() string        { return "stub" }
+func (stubPolicy) Init() elastic.State { return elastic.State{} }
+func (stubPolicy) Step(st elastic.State, obs elastic.Obs) (elastic.State, int, string) {
+	return st, obs.Workers, ""
+}
 
 // TestWithLearnedPolicyValidation: the wiring constraints hold — the learned
 // policy needs the control loop, tolerates no second decision layer, and its

@@ -12,13 +12,14 @@ import (
 // until the ceiling, so each injected tick produces exactly one decision.
 type stepPolicy struct{ max int }
 
-func (p stepPolicy) Name() string { return "step" }
+func (p stepPolicy) Name() string        { return "step" }
+func (p stepPolicy) Init() elastic.State { return elastic.State{} }
 
-func (p stepPolicy) Decide(sig elastic.Signals) (elastic.Decision, bool) {
-	if sig.Workers >= p.max {
-		return elastic.Decision{}, false
+func (p stepPolicy) Step(st elastic.State, obs elastic.Obs) (elastic.State, int, string) {
+	if obs.Workers >= p.max {
+		return st, obs.Workers, ""
 	}
-	return elastic.Decision{At: sig.Now, From: sig.Workers, Target: sig.Workers + 1, Reason: "step"}, true
+	return st, obs.Workers + 1, "step"
 }
 
 func TestWithScalingPolicyDrivesControlLoop(t *testing.T) {

@@ -57,7 +57,7 @@ type serviceConfig struct {
 	estimator  RuntimeEstimator
 	forecast   *forecast.Config
 	procScale  func(target int)
-	policy     ScalingPolicy
+	policy     elastic.Policy
 	qtable     *rl.Table
 }
 
@@ -68,8 +68,8 @@ func WithWorkers(n int) ServiceOption {
 	return func(c *serviceConfig) { c.workers = n }
 }
 
-// WithElastic enables the elastic control plane: a controller with the given
-// configuration observes queue depth, in-flight jobs and the estimated
+// WithElastic enables the elastic control plane: a scaling policy with the
+// given configuration observes queue depth, in-flight jobs and the estimated
 // backlog every tick and grows or shrinks the worker pool within
 // [MinWorkers, MaxWorkers], with the configured cooldowns and hysteresis.
 func WithElastic(cfg elastic.Config) ServiceOption {
@@ -86,7 +86,7 @@ func WithElasticTick(d time.Duration) ServiceOption {
 // never needs it; tests inject a manual tick channel so control-loop
 // sampling and decision application are deterministic without sleeps — the
 // time values sent on the channel become the Signals.Now the controller
-// decides on.
+// measures cooldowns against.
 func WithControlTicker(fn TickerFunc) ServiceOption {
 	return func(c *serviceConfig) { c.ticker = fn }
 }
@@ -97,22 +97,67 @@ func WithControlTicker(fn TickerFunc) ServiceOption {
 // lowest-sMAPE forecast model (EWMA / Holt / Holt-Winters / AR) fitted on
 // the arrival series, and a planner converts the forecast arrival rate
 // times the KB-predicted mean job runtime into a feed-forward worker
-// target. Each tick the hybrid policy applies max(reactive controller
-// decision, planner target), clamped to the elastic bounds — bursts the
-// models anticipate are paid for before the queue builds, while everything
-// the forecast misses still falls through to the reactive path.
+// target, which every observation then carries as Obs.Plan. Each tick the
+// hybrid policy (elastic.Hybrid) applies max(reactive decision, planner
+// target), clamped to the elastic bounds — bursts the models anticipate are
+// paid for before the queue builds, while everything the forecast misses
+// still falls through to the reactive path.
 func WithForecast(cfg forecast.Config) ServiceOption {
 	return func(c *serviceConfig) { c.forecast = &cfg }
 }
 
 // WithScalingPolicy replaces the control loop's decision layer with a
-// custom ScalingPolicy (it requires WithElastic, which supplies the loop
-// itself and the pool bounds status reports). The built-in policies —
-// reactive, and hybrid under WithForecast — cover production; this seam
-// exists for policies developed and verified out of tree, e.g. a learned
-// policy checked by internal/verify before it is allowed to ship.
-func WithScalingPolicy(p ScalingPolicy) ServiceOption {
+// custom elastic.Policy (it requires WithElastic, which supplies the loop
+// itself and the pool bounds status reports). The loop steps it once per
+// control tick. The built-in policies — reactive, hybrid under
+// WithForecast, learned under WithLearnedPolicy — cover production; this
+// seam exists for policies developed and verified out of tree.
+func WithScalingPolicy(p elastic.Policy) ServiceOption {
 	return func(c *serviceConfig) { c.policy = p }
+}
+
+// WithLearnedPolicy installs a trained Q-table (internal/rl) as the control
+// loop's decision layer — the third built-in policy next to reactive and
+// hybrid, stepped once per control tick. It requires WithElastic (the loop
+// and the pool gauges), and the table's own pool bounds must lie within the
+// elastic configuration's, so the policy can never target capacity the
+// configuration forbids. It conflicts with WithForecast and
+// WithScalingPolicy — one decision layer at a time.
+func WithLearnedPolicy(t *rl.Table) ServiceOption {
+	return func(c *serviceConfig) { c.qtable = t }
+}
+
+// scalingPolicy resolves the decision layer the options select over the
+// defaulted elastic configuration, and the wall-clock length of its tick
+// for the controller: the threshold policies run at nanosecond ticks, so
+// their cooldowns are real elapsed time; a Q-table or custom policy counts
+// control ticks.
+func (c *serviceConfig) scalingPolicy(ec elastic.Config) (elastic.Policy, time.Duration, error) {
+	switch {
+	case c.qtable != nil:
+		if c.forecast != nil {
+			return nil, 0, errors.New("core: WithLearnedPolicy conflicts with WithForecast (one decision layer at a time)")
+		}
+		if c.policy != nil {
+			return nil, 0, errors.New("core: WithLearnedPolicy conflicts with WithScalingPolicy (one decision layer at a time)")
+		}
+		if err := c.qtable.Validate(); err != nil {
+			return nil, 0, err
+		}
+		if spec := c.qtable.Spec; spec.MinWorkers < ec.MinWorkers || spec.MaxWorkers > ec.MaxWorkers {
+			return nil, 0, fmt.Errorf("core: Q-table pool bounds [%d,%d] outside the elastic bounds [%d,%d]",
+				spec.MinWorkers, spec.MaxWorkers, ec.MinWorkers, ec.MaxWorkers)
+		}
+		return c.qtable, 0, nil
+	case c.policy != nil:
+		return c.policy, 0, nil
+	case c.forecast != nil:
+		p, err := elastic.NewHybrid(ec, time.Nanosecond)
+		return p, time.Nanosecond, err
+	default:
+		p, err := elastic.NewReactive(ec, time.Nanosecond)
+		return p, time.Nanosecond, err
+	}
 }
 
 // WithAdmissionControl enables deadline-aware admission: every submission is
@@ -163,8 +208,7 @@ type Service struct {
 	retention int
 	estimator RuntimeEstimator // nil = no admission control
 	scaler    *autoscaler      // nil = fixed pool
-	fc        *forecastState   // nil = reactive-only scaling
-	policy    ScalingPolicy    // nil = fixed pool; set alongside scaler
+	fc        *forecastState   // nil = no planner target in the observations
 	procScale func(int)        // nil = no process scaling hook
 
 	baseCtx    context.Context
@@ -227,7 +271,17 @@ func NewService(d *Deployer, opts ...ServiceOption) (*Service, error) {
 			// rather than silently dropping the floor.
 			ec.MinWorkers = cfg.workers
 		}
-		ctrl, err := elastic.NewController(ec)
+		if err := ec.Validate(); err != nil {
+			cancel()
+			return nil, err
+		}
+		ec = ec.WithDefaults()
+		if cfg.workers < ec.MinWorkers || cfg.workers > ec.MaxWorkers {
+			cancel()
+			return nil, fmt.Errorf("core: initial pool %d outside the elastic bounds [%d,%d]",
+				cfg.workers, ec.MinWorkers, ec.MaxWorkers)
+		}
+		pol, unit, err := cfg.scalingPolicy(ec)
 		if err != nil {
 			cancel()
 			return nil, err
@@ -240,18 +294,24 @@ func NewService(d *Deployer, opts ...ServiceOption) (*Service, error) {
 		if ticker == nil {
 			ticker = defaultTicker
 		}
-		s.scaler = &autoscaler{ctrl: ctrl, tick: tick, newTicker: ticker}
-		if cfg.workers < ctrl.Config().MinWorkers || cfg.workers > ctrl.Config().MaxWorkers {
+		s.scaler = &autoscaler{ctrl: elastic.NewController(pol, unit), cfg: ec, tick: tick, newTicker: ticker}
+	}
+	if s.scaler == nil {
+		needs := ""
+		switch {
+		case cfg.forecast != nil:
+			needs = "WithForecast"
+		case cfg.qtable != nil:
+			needs = "WithLearnedPolicy"
+		case cfg.policy != nil:
+			needs = "WithScalingPolicy"
+		}
+		if needs != "" {
 			cancel()
-			return nil, fmt.Errorf("core: initial pool %d outside the elastic bounds [%d,%d]",
-				cfg.workers, ctrl.Config().MinWorkers, ctrl.Config().MaxWorkers)
+			return nil, fmt.Errorf("core: %s requires WithElastic (the scaling policy runs on the control loop)", needs)
 		}
 	}
 	if cfg.forecast != nil {
-		if s.scaler == nil {
-			cancel()
-			return nil, errors.New("core: WithForecast requires WithElastic (the hybrid policy overlays the reactive controller)")
-		}
 		// The planner prices demand with the same KB ensemble admission
 		// control uses; without admission control it gets its own estimator
 		// over the shared deployer (this does NOT enable admission — that
@@ -266,25 +326,6 @@ func NewService(d *Deployer, opts ...ServiceOption) (*Service, error) {
 			return nil, err
 		}
 		s.fc = fc
-	}
-	switch {
-	case cfg.qtable != nil:
-		lp, err := buildLearnedPolicy(&cfg, s.scaler, s.fc)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		s.policy = lp
-	case cfg.policy != nil:
-		if s.scaler == nil {
-			cancel()
-			return nil, errors.New("core: WithScalingPolicy requires WithElastic (the policy needs the control loop)")
-		}
-		s.policy = cfg.policy
-	case s.fc != nil:
-		s.policy = &hybridPolicy{ctrl: s.scaler.ctrl, fc: s.fc, tick: s.scaler.tick}
-	case s.scaler != nil:
-		s.policy = reactivePolicy{ctrl: s.scaler.ctrl}
 	}
 	s.spawn(s.sched.setTarget(cfg.workers))
 	s.notifyScale(cfg.workers)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"disarcloud/internal/alm"
@@ -304,9 +305,16 @@ func (d *Deployer) RunSimulation(ctx context.Context, spec SimulationSpec) (*Sim
 		rep.Cost.BudgetUSD = acct.limit
 		rep.Cost.RemainingUSD = acct.remaining()
 	}
-	for _, r := range results {
-		rep.BEL += r.BEL
-		rep.SCR += r.SCR
+	// Sum in sorted block-ID order: float addition is not associative, so
+	// map-iteration order would let the totals' last bits vary run to run.
+	ids := make([]string, 0, len(results))
+	for id := range results {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		rep.BEL += results[id].BEL
+		rep.SCR += results[id].SCR
 	}
 	return rep, nil
 }

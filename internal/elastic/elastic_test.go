@@ -20,13 +20,15 @@ func testConfig() Config {
 	}
 }
 
+// mustController drives the reactive policy at nanosecond ticks, where its
+// cooldowns hold against the synthetic timestamps exactly.
 func mustController(t *testing.T, cfg Config) *Controller {
 	t.Helper()
-	c, err := NewController(cfg)
+	p, err := NewReactive(cfg, time.Nanosecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return NewController(p, time.Nanosecond)
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -43,12 +45,12 @@ func TestConfigValidate(t *testing.T) {
 	for _, tc := range cases {
 		cfg := testConfig()
 		tc.mut(&cfg)
-		if _, err := NewController(cfg); err == nil {
-			t.Errorf("%s: NewController accepted an inadmissible config", tc.name)
+		if _, err := NewReactive(cfg, time.Nanosecond); err == nil {
+			t.Errorf("%s: NewReactive accepted an inadmissible config", tc.name)
 		}
 	}
 	// The zero-ish config defaults into something usable.
-	c, err := NewController(Config{MaxWorkers: 4})
+	c, err := NewReactive(Config{MaxWorkers: 4}, time.Nanosecond)
 	if err != nil {
 		t.Fatalf("defaulted config rejected: %v", err)
 	}
@@ -62,11 +64,11 @@ func TestScaleUpOnBacklogPressure(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 
 	// Pressure exactly at the threshold must NOT trigger (strictly above).
-	if _, act := c.Decide(Signals{Now: t0, Queued: 2, InFlight: 2, Workers: 2}); act {
+	if _, act := c.Decide(Signals{Now: t0, Obs: Obs{Queued: 2, InFlight: 2, Workers: 2}}); act {
 		t.Fatal("pressure == threshold triggered a grow; want strict inequality")
 	}
 	// One job more crosses it: 5 jobs over threshold 2.0 wants ceil(5/2)=3.
-	dec, act := c.Decide(Signals{Now: t0, Queued: 3, InFlight: 2, Workers: 2})
+	dec, act := c.Decide(Signals{Now: t0, Obs: Obs{Queued: 3, InFlight: 2, Workers: 2}})
 	if !act || dec.Target != 3 || dec.Reason != "backlog" {
 		t.Fatalf("grow decision = %+v (%v), want target 3 reason backlog", dec, act)
 	}
@@ -76,19 +78,19 @@ func TestScaleUpRespectsMaxStepAndCeiling(t *testing.T) {
 	c := mustController(t, testConfig())
 	t0 := time.Unix(1000, 0)
 	// 40 queued over 2 workers wants ceil(40/2)=20, clamped to +MaxStep=6.
-	dec, act := c.Decide(Signals{Now: t0, Queued: 40, Workers: 2})
+	dec, act := c.Decide(Signals{Now: t0, Obs: Obs{Queued: 40, Workers: 2}})
 	if !act || dec.Target != 6 {
 		t.Fatalf("step-clamped grow = %+v (%v), want target 6", dec, act)
 	}
 	// Near the ceiling the clamp is MaxWorkers.
 	c2 := mustController(t, testConfig())
-	dec, act = c2.Decide(Signals{Now: t0, Queued: 40, Workers: 7})
+	dec, act = c2.Decide(Signals{Now: t0, Obs: Obs{Queued: 40, Workers: 7}})
 	if !act || dec.Target != 8 {
 		t.Fatalf("ceiling-clamped grow = %+v (%v), want target 8", dec, act)
 	}
 	// At the ceiling no grow fires at all.
 	c3 := mustController(t, testConfig())
-	if dec, act := c3.Decide(Signals{Now: t0, Queued: 40, Workers: 8}); act {
+	if dec, act := c3.Decide(Signals{Now: t0, Obs: Obs{Queued: 40, Workers: 8}}); act {
 		t.Fatalf("grow at the ceiling = %+v, want none", dec)
 	}
 }
@@ -99,15 +101,15 @@ func TestScaleUpCooldownBoundary(t *testing.T) {
 	cfg := testConfig()
 	c := mustController(t, cfg)
 	t0 := time.Unix(1000, 0)
-	if _, act := c.Decide(Signals{Now: t0, Queued: 10, Workers: 2}); !act {
+	if _, act := c.Decide(Signals{Now: t0, Obs: Obs{Queued: 10, Workers: 2}}); !act {
 		t.Fatal("first grow did not fire")
 	}
 	inside := t0.Add(cfg.ScaleUpCooldown - time.Nanosecond)
-	if dec, act := c.Decide(Signals{Now: inside, Queued: 20, Workers: 6}); act {
+	if dec, act := c.Decide(Signals{Now: inside, Obs: Obs{Queued: 20, Workers: 6}}); act {
 		t.Fatalf("grow inside the cooldown = %+v, want none", dec)
 	}
 	at := t0.Add(cfg.ScaleUpCooldown)
-	if _, act := c.Decide(Signals{Now: at, Queued: 20, Workers: 6}); !act {
+	if _, act := c.Decide(Signals{Now: at, Obs: Obs{Queued: 20, Workers: 6}}); !act {
 		t.Fatal("grow exactly at the cooldown boundary did not fire")
 	}
 }
@@ -121,7 +123,7 @@ func TestShrinkNeedsStabilityWindow(t *testing.T) {
 	t0 := time.Unix(2000, 0)
 
 	idle := func(now time.Time) (Decision, bool) {
-		return c.Decide(Signals{Now: now, Queued: 0, InFlight: 0, Workers: 4})
+		return c.Decide(Signals{Now: now, Obs: Obs{Queued: 0, InFlight: 0, Workers: 4}})
 	}
 	if dec, act := idle(t0); act {
 		t.Fatalf("shrink at window start = %+v, want none", dec)
@@ -137,10 +139,10 @@ func TestShrinkNeedsStabilityWindow(t *testing.T) {
 	// A pressure blip must reset the window: low, blip, low again.
 	c2 := mustController(t, cfg)
 	step := cfg.ShrinkStableFor / 2
-	c2.Decide(Signals{Now: t0, Workers: 4})                      // low: window opens
-	c2.Decide(Signals{Now: t0.Add(step), Queued: 9, Workers: 4}) // blip: resets (also a grow)
-	c2.Decide(Signals{Now: t0.Add(2 * step), Workers: 4})        // low again: window reopens
-	if dec, act := c2.Decide(Signals{Now: t0.Add(3 * step), Workers: 4}); act {
+	c2.Decide(Signals{Now: t0, Obs: Obs{Workers: 4}})                      // low: window opens
+	c2.Decide(Signals{Now: t0.Add(step), Obs: Obs{Queued: 9, Workers: 4}}) // blip: resets (also a grow)
+	c2.Decide(Signals{Now: t0.Add(2 * step), Obs: Obs{Workers: 4}})        // low again: window reopens
+	if dec, act := c2.Decide(Signals{Now: t0.Add(3 * step), Obs: Obs{Workers: 4}}); act {
 		// Only half the window has elapsed since the blip.
 		t.Fatalf("shrink %v fired with a blip inside the window", dec)
 	}
@@ -154,34 +156,34 @@ func TestShrinkCooldownsAndFloor(t *testing.T) {
 	c := mustController(t, cfg)
 	t0 := time.Unix(3000, 0)
 
-	c.Decide(Signals{Now: t0, Workers: 4}) // window opens
-	dec, act := c.Decide(Signals{Now: t0.Add(cfg.ShrinkStableFor), Workers: 4})
+	c.Decide(Signals{Now: t0, Obs: Obs{Workers: 4}}) // window opens
+	dec, act := c.Decide(Signals{Now: t0.Add(cfg.ShrinkStableFor), Obs: Obs{Workers: 4}})
 	if !act || dec.Target != 3 {
 		t.Fatalf("first shrink = %+v (%v), want 4->3", dec, act)
 	}
 	// Immediately after, the cooldown (and the restarted window) refuse more.
-	if dec, act := c.Decide(Signals{Now: t0.Add(cfg.ShrinkStableFor + time.Millisecond), Workers: 3}); act {
+	if dec, act := c.Decide(Signals{Now: t0.Add(cfg.ShrinkStableFor + time.Millisecond), Obs: Obs{Workers: 3}}); act {
 		t.Fatalf("second shrink inside the cooldown = %+v, want none", dec)
 	}
 	// After both cooldown and a fresh stability window, the next one fires.
 	later := t0.Add(cfg.ShrinkStableFor + cfg.ScaleDownCooldown + cfg.ShrinkStableFor)
-	if _, act := c.Decide(Signals{Now: later, Workers: 3}); !act {
+	if _, act := c.Decide(Signals{Now: later, Obs: Obs{Workers: 3}}); !act {
 		t.Fatal("shrink after cooldown + fresh window did not fire")
 	}
 	// At the floor, never.
 	c2 := mustController(t, cfg)
-	c2.Decide(Signals{Now: t0, Workers: cfg.MinWorkers})
-	if dec, act := c2.Decide(Signals{Now: t0.Add(10 * cfg.ShrinkStableFor), Workers: cfg.MinWorkers}); act {
+	c2.Decide(Signals{Now: t0, Obs: Obs{Workers: cfg.MinWorkers}})
+	if dec, act := c2.Decide(Signals{Now: t0.Add(10 * cfg.ShrinkStableFor), Obs: Obs{Workers: cfg.MinWorkers}}); act {
 		t.Fatalf("shrink below the floor = %+v, want none", dec)
 	}
 	// A grow also suppresses the following shrink for ScaleDownCooldown.
 	c3 := mustController(t, cfg)
-	c3.Decide(Signals{Now: t0, Queued: 10, Workers: 2}) // grow
+	c3.Decide(Signals{Now: t0, Obs: Obs{Queued: 10, Workers: 2}}) // grow
 	quiet := t0.Add(cfg.ShrinkStableFor)
-	c3.Decide(Signals{Now: quiet, Workers: 6}) // window opens at `quiet`
+	c3.Decide(Signals{Now: quiet, Obs: Obs{Workers: 6}}) // window opens at `quiet`
 	afterWindow := quiet.Add(cfg.ShrinkStableFor)
 	if afterWindow.Sub(t0) < cfg.ScaleDownCooldown {
-		if dec, act := c3.Decide(Signals{Now: afterWindow, Workers: 6}); act && dec.Target < 6 {
+		if dec, act := c3.Decide(Signals{Now: afterWindow, Obs: Obs{Workers: 6}}); act && dec.Target < 6 {
 			t.Fatalf("shrink %v fired inside the post-grow cooldown", dec)
 		}
 	}
@@ -194,19 +196,19 @@ func TestDeadlinePressureGrowsPool(t *testing.T) {
 	t0 := time.Unix(4000, 0)
 	// Pressure 3/2 jobs-per-worker on 2 workers is below the 2.0 threshold,
 	// but 120s of backlog against 30s of slack cannot make it.
-	dec, act := c.Decide(Signals{
-		Now: t0, Queued: 1, InFlight: 2, Workers: 2,
+	dec, act := c.Decide(Signals{Now: t0, Obs: Obs{
+		Queued: 1, InFlight: 2, Workers: 2,
 		BacklogETASeconds: 120, SlackSeconds: 30,
-	})
+	}})
 	if !act || dec.Reason != "deadline" || dec.Target != 3 {
 		t.Fatalf("deadline-pressure decision = %+v (%v), want +1 worker reason deadline", dec, act)
 	}
 	// With enough slack the same signals stay put.
 	c2 := mustController(t, testConfig())
-	if dec, act := c2.Decide(Signals{
-		Now: t0, Queued: 1, InFlight: 2, Workers: 2,
+	if dec, act := c2.Decide(Signals{Now: t0, Obs: Obs{
+		Queued: 1, InFlight: 2, Workers: 2,
 		BacklogETASeconds: 120, SlackSeconds: 100,
-	}); act {
+	}}); act {
 		t.Fatalf("decision %+v fired with sufficient slack", dec)
 	}
 }
@@ -216,11 +218,11 @@ func TestDeadlinePressureGrowsPool(t *testing.T) {
 func TestBoundEnforcement(t *testing.T) {
 	c := mustController(t, testConfig())
 	t0 := time.Unix(5000, 0)
-	dec, act := c.Decide(Signals{Now: t0, Workers: 1})
+	dec, act := c.Decide(Signals{Now: t0, Obs: Obs{Workers: 1}})
 	if !act || dec.Target != 2 || dec.Reason != "floor" {
 		t.Fatalf("floor enforcement = %+v (%v), want target 2", dec, act)
 	}
-	dec, act = c.Decide(Signals{Now: t0, Workers: 11})
+	dec, act = c.Decide(Signals{Now: t0, Obs: Obs{Workers: 11}})
 	if !act || dec.Target != 8 || dec.Reason != "ceiling" {
 		t.Fatalf("ceiling enforcement = %+v (%v), want target 8", dec, act)
 	}

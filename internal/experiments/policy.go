@@ -13,10 +13,11 @@ import (
 
 // PolicyComparison is the reactive-vs-hybrid-vs-learned experiment: every
 // policy family replayed over the same seeded traces through the same
-// deterministic backlog simulator (internal/rl's, the clock-free recursion
-// internal/verify models), scored on p95 job latency, worker-seconds and
-// resize churn. No wall clock anywhere, so the table is bit-reproducible
-// under the fixed seed — rerunning it reproduces every digit.
+// deterministic backlog simulator (internal/rl's, over the elastic.Queue
+// recursion internal/verify models), scored on p95 job latency,
+// worker-seconds and resize churn. No wall clock anywhere, so the table is
+// bit-reproducible under the fixed seed — rerunning it reproduces every
+// digit.
 type PolicyComparison struct {
 	// Table is the learned policy under comparison.
 	Table *rl.Table
@@ -35,28 +36,11 @@ type PolicyRow struct {
 // threshold policies.
 const policyEvalSeedOffset = 7700
 
-// fsmSimPolicy adapts a verify.Policy FSM to the simulator's SimPolicy:
-// the verifier's reactive/hybrid re-encodings are pinned step-for-step to
-// the live controller, so driving them here replays the live policies
-// without wall clock.
-type fsmSimPolicy struct {
-	pol verify.Policy
-	st  verify.PolicyState
-}
-
-func (f *fsmSimPolicy) Reset() { f.st = f.pol.Init() }
-
-func (f *fsmSimPolicy) Decide(queue, workers int, ratePerTick float64) int {
-	var target int
-	f.st, target = f.pol.Step(f.st, verify.Obs{Queue: queue, Workers: workers, RatePerTick: ratePerTick})
-	return target
-}
-
 // RunPolicyComparison replays the trained table's own trace families
 // (fresh evaluation seeds) under reactive, hybrid and learned policies.
-// The threshold policies run the default elastic controller over the
-// table's pool bounds at the table's tick — the same idealized-forecast
-// hybrid the verifier bounds.
+// The threshold policies run the default elastic configuration over the
+// table's pool bounds at the table's tick, the hybrid's planner reading the
+// trace's true rate — the same idealized forecast the verifier bounds.
 func RunPolicyComparison(table *rl.Table) (*PolicyComparison, error) {
 	if err := table.Validate(); err != nil {
 		return nil, err
@@ -64,21 +48,13 @@ func RunPolicyComparison(table *rl.Table) (*PolicyComparison, error) {
 	spec := table.Spec
 	tick := time.Duration(spec.TickMS) * time.Millisecond
 	cfg := elastic.Config{MinWorkers: spec.MinWorkers, MaxWorkers: spec.MaxWorkers}
-	reactive, err := verify.NewReactivePolicy(cfg, tick)
+	reactive, err := elastic.NewReactive(cfg, tick)
 	if err != nil {
 		return nil, err
 	}
-	hybrid, err := verify.NewHybridPolicy(cfg, tick, 0, spec.MeanRuntimeSeconds())
+	hybrid, err := elastic.NewHybrid(cfg, tick)
 	if err != nil {
 		return nil, err
-	}
-	policies := []struct {
-		name string
-		pol  rl.SimPolicy
-	}{
-		{"reactive", &fsmSimPolicy{pol: reactive}},
-		{"hybrid", &fsmSimPolicy{pol: hybrid}},
-		{"learned", rl.NewRuntime(table)},
 	}
 	out := &PolicyComparison{Table: table}
 	for _, trace := range spec.Traces {
@@ -87,8 +63,11 @@ func RunPolicyComparison(table *rl.Table) (*PolicyComparison, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range policies {
-			res, err := rl.Simulate(counts, rates, p.pol, rl.SimConfig{
+		// Every policy sees the same trace; only the hybrid reads its plans.
+		tr := elastic.Trace{Counts: counts, Rates: rates,
+			Plans: verify.PerfectPlans(rates, 0, tick, spec.MeanRuntimeSeconds())}
+		for _, pol := range []elastic.Policy{reactive, hybrid, table} {
+			res, err := rl.Simulate(tr, pol, rl.SimConfig{
 				TickMS:         spec.TickMS,
 				MeanRuntimeMS:  spec.MeanRuntimeMS,
 				MaxQueue:       spec.MaxQueue,
@@ -99,7 +78,7 @@ func RunPolicyComparison(table *rl.Table) (*PolicyComparison, error) {
 			if err != nil {
 				return nil, err
 			}
-			out.Rows = append(out.Rows, PolicyRow{Trace: string(trace.Kind), Policy: p.name, Result: res})
+			out.Rows = append(out.Rows, PolicyRow{Trace: string(trace.Kind), Policy: pol.Name(), Result: res})
 		}
 	}
 	return out, nil

@@ -1,25 +1,17 @@
 // Package rl implements the learned scaling policy: a tabular Q-learning
-// autoscaler trained offline against a deterministic, clock-free simulator
-// that replays internal/loadgen traces through the same arrive/complete/
-// clamp backlog recursion internal/verify models (sim.go), then shipped as
-// a versioned Q-table artifact (table.go) that plugs into the service as a
-// third core.ScalingPolicy next to reactive and hybrid, and re-encodes as
-// a tick FSM internal/verify can model-check exactly.
+// autoscaler trained offline against internal/elastic's clock-free queue
+// kernel fed with internal/loadgen traces (train.go, sim.go), then shipped
+// as a versioned Q-table artifact (table.go). The table IS the policy: it
+// implements elastic.Policy, so the control loop, the simulator and
+// internal/verify's model checker all run Table.Step itself — the property
+// that lets a policy learned in simulation carry an exact SLA bound into
+// production.
 //
-// The decision core is one pure function, Table.Step: given the policy's
-// small internal state (saturating cooldown counters plus the previous
-// rate bucket) and one observation (jobs in system, pool size, arrival
-// rate), it returns the successor state and a worker target. Training,
-// live serving and exhaustive verification all run that same function —
-// the property that lets a policy learned in simulation carry an exact SLA
-// bound into production.
-//
-// State is discretized into (queue-pressure bucket, arrival-rate bucket,
+// State is discretized into (queue pressure bucket, arrival-rate bucket,
 // forecast-slope bucket, pool-size bucket); actions are bounded resize
-// steps honoring the elastic
-// controller's MaxStep/cooldown semantics (grows obey a grow cooldown and
-// the configured step bound, shrinks release one worker at a time under
-// the shrink cooldown, floor/ceiling enforcement is immediate); reward is
+// steps under elastic.Cooldowns (grows obey a grow cooldown and the
+// configured step bound, shrinks release one worker at a time under the
+// shrink cooldown, floor/ceiling enforcement is immediate); reward is
 // multi-objective — SLA violations, worker-seconds, resize churn and a
 // waiting-depth shaping term — with tunable weights.
 package rl
@@ -32,31 +24,6 @@ import (
 	"disarcloud/internal/loadgen"
 )
 
-// Obs is one control-tick observation: the jobs in the system (queued plus
-// running — the same total the controller's pressure gauge divides by the
-// pool), the current pool target, and the arrival rate in jobs per tick.
-// In training and verification the rate is the trace's deterministic
-// profile (the perfect-forecast idealization the hybrid FSM also uses); in
-// the live service it is the measured submission count of the last control
-// tick.
-type Obs struct {
-	Queue   int
-	Workers int
-	// RatePerTick is arrivals per control tick.
-	RatePerTick float64
-}
-
-// State is the policy's internal state between ticks: the two saturating
-// cooldown counters (the same slot semantics as the verifier's reactive
-// FSM) and the previous tick's rate bucket, from which the forecast-slope
-// feature is derived. PrevRate is the bucket index plus one; zero means
-// "no previous observation" and reads as a flat slope.
-type State struct {
-	SinceUp   int32
-	SinceDown int32
-	PrevRate  int32
-}
-
 // Spec fixes everything about a learned policy: the control-plane scale it
 // was trained for, the state discretization, the action set, the reward
 // weights and the training hyperparameters. The spec travels inside the
@@ -65,7 +32,7 @@ type State struct {
 type Spec struct {
 	// MinWorkers / MaxWorkers are the pool bounds the policy targets
 	// within; floor and ceiling enforcement is immediate, as in the
-	// elastic controller.
+	// threshold policies.
 	MinWorkers int `json:"min_workers"`
 	MaxWorkers int `json:"max_workers"`
 	// TickMS is the control period the policy was trained at; MeanRuntimeMS
@@ -85,14 +52,12 @@ type Spec struct {
 	PoolBuckets int `json:"pool_buckets"`
 
 	// Steps is the ascending action set of resize deltas. It must contain
-	// 0 (hold); the only negative step allowed is -1, because the
-	// controller's shrinks release one worker at a time; the largest
-	// positive step plays the controller's MaxStep role.
+	// 0 (hold); the only negative step allowed is -1, because shrinks
+	// release one worker at a time, as the reactive policy's do; the largest
+	// positive step plays the role of its MaxStep.
 	Steps []int `json:"steps"`
-	// GrowCooldownTicks / ShrinkCooldownTicks mirror the controller's
-	// cooldown semantics in ticks: a grow needs SinceUp past the grow
-	// cooldown, a shrink needs both counters past the shrink cooldown (a
-	// shrink on the heels of a grow is always a thrash).
+	// GrowCooldownTicks / ShrinkCooldownTicks are the elastic.Cooldowns the
+	// table's actions are gated by, in ticks.
 	GrowCooldownTicks   int `json:"grow_cooldown_ticks"`
 	ShrinkCooldownTicks int `json:"shrink_cooldown_ticks"`
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"disarcloud/internal/elastic"
 	"disarcloud/internal/loadgen"
 )
 
@@ -97,11 +98,12 @@ func TestTableRoundTrip(t *testing.T) {
 		MaxQueue: spec.MaxQueue, QueueBound: spec.QueueBound,
 		InitialWorkers: spec.MinWorkers, Seed: 99,
 	}
-	ra, err := Simulate(counts, rates, NewRuntime(trained), cfg)
+	tr := elastic.Trace{Counts: counts, Rates: rates}
+	ra, err := Simulate(tr, trained, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := Simulate(counts, rates, NewRuntime(loaded), cfg)
+	rb, err := Simulate(tr, loaded, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,57 +153,57 @@ func TestApplySemantics(t *testing.T) {
 	shrink := 0                  // step -1
 
 	// Floor and ceiling enforcement is immediate and stamps no cooldowns.
-	st, target := tbl.Apply(tbl.Init(), Obs{Queue: 0, Workers: 1}, hold)
-	if target != spec.MinWorkers {
-		t.Fatalf("below floor: target %d, want %d", target, spec.MinWorkers)
+	st, target, reason := tbl.Apply(tbl.Init(), elastic.Backlog(0, 1), hold)
+	if target != spec.MinWorkers || reason != "learned-floor" {
+		t.Fatalf("below floor: target %d (%s), want %d", target, reason, spec.MinWorkers)
 	}
-	if st.SinceUp != tbl.capUp() || st.SinceDown != int32(spec.ShrinkCooldownTicks) {
+	if st.SinceUp != tbl.Init().SinceUp || st.SinceDown != tbl.Init().SinceDown {
 		t.Fatalf("floor enforcement stamped a cooldown: %+v", st)
 	}
-	if _, target = tbl.Apply(tbl.Init(), Obs{Queue: 0, Workers: 40}, hold); target != spec.MaxWorkers {
-		t.Fatalf("above ceiling: target %d, want %d", target, spec.MaxWorkers)
+	if _, target, reason = tbl.Apply(tbl.Init(), elastic.Backlog(0, 40), hold); target != spec.MaxWorkers || reason != "learned-ceiling" {
+		t.Fatalf("above ceiling: target %d (%s), want %d", target, reason, spec.MaxWorkers)
 	}
 
 	// A grow applies its full step (capped at MaxWorkers) and stamps SinceUp.
-	st, target = tbl.Apply(tbl.Init(), Obs{Queue: 9, Workers: 5}, grow4)
-	if target != 9 {
-		t.Fatalf("grow target %d, want 9", target)
+	st, target, reason = tbl.Apply(tbl.Init(), elastic.Backlog(9, 5), grow4)
+	if target != 9 || reason != "learned-grow" {
+		t.Fatalf("grow target %d (%s), want 9", target, reason)
 	}
 	if st.SinceUp != 1 {
 		t.Fatalf("grow left SinceUp %d, want 1 (stamped, then one tick elapsed)", st.SinceUp)
 	}
-	if _, target = tbl.Apply(tbl.Init(), Obs{Queue: 30, Workers: 15}, grow4); target != spec.MaxWorkers {
+	if _, target, _ = tbl.Apply(tbl.Init(), elastic.Backlog(30, 15), grow4); target != spec.MaxWorkers {
 		t.Fatalf("grow past ceiling: target %d, want %d", target, spec.MaxWorkers)
 	}
 	// Inside the grow cooldown the same action holds.
-	if _, target = tbl.Apply(st, Obs{Queue: 9, Workers: 9}, grow4); target != 9 {
+	if _, target, _ = tbl.Apply(st, elastic.Backlog(9, 9), grow4); target != 9 {
 		t.Fatalf("grow inside cooldown resized to %d", target)
 	}
 	// At the ceiling a grow holds without stamping.
-	if _, target = tbl.Apply(tbl.Init(), Obs{Queue: 0, Workers: spec.MaxWorkers}, grow4); target != spec.MaxWorkers {
+	if _, target, _ = tbl.Apply(tbl.Init(), elastic.Backlog(0, spec.MaxWorkers), grow4); target != spec.MaxWorkers {
 		t.Fatalf("grow at ceiling: target %d", target)
 	}
 
 	// A shrink releases exactly one worker and stamps SinceDown.
-	st, target = tbl.Apply(tbl.Init(), Obs{Queue: 0, Workers: 5}, shrink)
-	if target != 4 {
-		t.Fatalf("shrink target %d, want 4", target)
+	st, target, reason = tbl.Apply(tbl.Init(), elastic.Backlog(0, 5), shrink)
+	if target != 4 || reason != "learned-shrink" {
+		t.Fatalf("shrink target %d (%s), want 4", target, reason)
 	}
 	if st.SinceDown != 1 {
 		t.Fatalf("shrink left SinceDown %d, want 1", st.SinceDown)
 	}
 	// Inside the shrink cooldown it holds.
-	if _, target = tbl.Apply(st, Obs{Queue: 0, Workers: 4}, shrink); target != 4 {
+	if _, target, _ = tbl.Apply(st, elastic.Backlog(0, 4), shrink); target != 4 {
 		t.Fatalf("shrink inside cooldown resized to %d", target)
 	}
 	// A shrink on the heels of a grow is a thrash: SinceUp gates it too.
 	fresh := tbl.Init()
 	fresh.SinceUp = 0
-	if _, target = tbl.Apply(fresh, Obs{Queue: 0, Workers: 5}, shrink); target != 5 {
+	if _, target, _ = tbl.Apply(fresh, elastic.Backlog(0, 5), shrink); target != 5 {
 		t.Fatalf("shrink right after a grow resized to %d", target)
 	}
 	// At the floor a shrink holds.
-	if _, target = tbl.Apply(tbl.Init(), Obs{Queue: 0, Workers: spec.MinWorkers}, shrink); target != spec.MinWorkers {
+	if _, target, _ = tbl.Apply(tbl.Init(), elastic.Backlog(0, spec.MinWorkers), shrink); target != spec.MinWorkers {
 		t.Fatalf("shrink at floor: target %d", target)
 	}
 }
@@ -214,11 +216,13 @@ func TestStateIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := tbl.Spec.NumStates()
-	for _, st := range []State{tbl.Init(), {PrevRate: 1}, {PrevRate: 6}} {
+	for _, st := range []elastic.State{tbl.Init(), {PrevRate: 1}, {PrevRate: 6}} {
 		for q := -1; q <= 70; q += 7 {
 			for w := 0; w <= 20; w += 2 {
 				for _, rate := range []float64{-1, 0, 0.5, 1.3, math.NaN()} {
-					idx := tbl.StateIndex(st, Obs{Queue: q, Workers: w, RatePerTick: rate})
+					obs := elastic.Backlog(q, w)
+					obs.RatePerTick = rate
+					idx := tbl.StateIndex(st, obs)
 					if idx < 0 || idx >= n {
 						t.Fatalf("index %d outside [0, %d) for q=%d w=%d rate=%g", idx, n, q, w, rate)
 					}
@@ -229,15 +233,20 @@ func TestStateIndex(t *testing.T) {
 	// The absolute rate bucket is part of the state: the same pressure at a
 	// different load level is a different row.
 	st := tbl.Init()
-	low := tbl.StateIndex(st, Obs{Queue: 4, Workers: 8, RatePerTick: 0.1})
-	high := tbl.StateIndex(st, Obs{Queue: 4, Workers: 8, RatePerTick: 1.1})
+	at := func(rate float64) elastic.Obs {
+		obs := elastic.Backlog(4, 8)
+		obs.RatePerTick = rate
+		return obs
+	}
+	low := tbl.StateIndex(st, at(0.1))
+	high := tbl.StateIndex(st, at(1.1))
 	if low == high {
 		t.Fatal("rate level does not move the state index")
 	}
 	// So is the slope: the same observation after a higher previous bucket
 	// reads as falling, not flat.
-	flat := tbl.StateIndex(State{PrevRate: tbl.rateBucket(0.5) + 1}, Obs{Queue: 4, Workers: 8, RatePerTick: 0.5})
-	falling := tbl.StateIndex(State{PrevRate: 7}, Obs{Queue: 4, Workers: 8, RatePerTick: 0.5})
+	flat := tbl.StateIndex(elastic.State{PrevRate: tbl.rateBucket(0.5) + 1}, at(0.5))
+	falling := tbl.StateIndex(elastic.State{PrevRate: 7}, at(0.5))
 	if flat == falling {
 		t.Fatal("rate slope does not move the state index")
 	}
@@ -342,9 +351,12 @@ func TestDecodeTableStrict(t *testing.T) {
 // fixedPolicy always answers the same worker target.
 type fixedPolicy int
 
-func (fixedPolicy) Reset() {}
+func (fixedPolicy) Name() string        { return "fixed" }
+func (fixedPolicy) Init() elastic.State { return elastic.State{} }
 
-func (p fixedPolicy) Decide(queue, workers int, ratePerTick float64) int { return int(p) }
+func (p fixedPolicy) Step(st elastic.State, _ elastic.Obs) (elastic.State, int, string) {
+	return st, int(p), "fixed"
+}
 
 // TestSimulate: the replay harness is deterministic, scores a fixed pool's
 // cost exactly, and rejects malformed inputs.
@@ -354,7 +366,7 @@ func TestSimulate(t *testing.T) {
 	// A zero trace under a fixed pool: no jobs, exact worker-seconds.
 	zeros := make([]int, 50)
 	rates := make([]float64, 50)
-	res, err := Simulate(zeros, rates, fixedPolicy(4), cfg)
+	res, err := Simulate(elastic.Trace{Counts: zeros, Rates: rates}, fixedPolicy(4), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,11 +384,11 @@ func TestSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Simulate(counts, profile, fixedPolicy(8), cfg)
+	a, err := Simulate(elastic.Trace{Counts: counts, Rates: profile}, fixedPolicy(8), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(counts, profile, fixedPolicy(8), cfg)
+	b, err := Simulate(elastic.Trace{Counts: counts, Rates: profile}, fixedPolicy(8), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +399,7 @@ func TestSimulate(t *testing.T) {
 		t.Fatalf("jobs %d + dropped %d + unfinished %d != arrivals %d",
 			a.Jobs, a.Dropped, a.Unfinished, loadgen.Total(counts))
 	}
-	starved, err := Simulate(counts, profile, fixedPolicy(1), cfg)
+	starved, err := Simulate(elastic.Trace{Counts: counts, Rates: profile}, fixedPolicy(1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,25 +409,25 @@ func TestSimulate(t *testing.T) {
 	}
 
 	// Malformed inputs are errors, not panics.
-	if _, err := Simulate(nil, nil, fixedPolicy(1), cfg); err == nil {
+	if _, err := Simulate(elastic.Trace{}, fixedPolicy(1), cfg); err == nil {
 		t.Error("empty trace accepted")
 	}
-	if _, err := Simulate(zeros, rates[:10], fixedPolicy(1), cfg); err == nil {
+	if _, err := Simulate(elastic.Trace{Counts: zeros, Rates: rates[:10]}, fixedPolicy(1), cfg); err == nil {
 		t.Error("mismatched counts/rates accepted")
 	}
 	bad := cfg
 	bad.TickMS = 0
-	if _, err := Simulate(zeros, rates, fixedPolicy(1), bad); err == nil {
+	if _, err := Simulate(elastic.Trace{Counts: zeros, Rates: rates}, fixedPolicy(1), bad); err == nil {
 		t.Error("zero tick accepted")
 	}
 	bad = cfg
 	bad.QueueBound = cfg.MaxQueue + 1
-	if _, err := Simulate(zeros, rates, fixedPolicy(1), bad); err == nil {
+	if _, err := Simulate(elastic.Trace{Counts: zeros, Rates: rates}, fixedPolicy(1), bad); err == nil {
 		t.Error("queue bound above max queue accepted")
 	}
 	bad = cfg
 	bad.InitialWorkers = 0
-	if _, err := Simulate(zeros, rates, fixedPolicy(1), bad); err == nil {
+	if _, err := Simulate(elastic.Trace{Counts: zeros, Rates: rates}, fixedPolicy(1), bad); err == nil {
 		t.Error("zero initial workers accepted")
 	}
 }
@@ -478,10 +490,12 @@ func BenchmarkLearnedPolicyTick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rt := NewRuntime(tbl)
+	decide := elastic.Stepper(tbl)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Decide(i%32, 2+i%14, float64(i%4)*0.4)
+		obs := elastic.Backlog(i%32, 2+i%14)
+		obs.RatePerTick = float64(i%4) * 0.4
+		decide(obs)
 	}
 }

@@ -6,24 +6,13 @@ import (
 	"math"
 	"sort"
 
+	"disarcloud/internal/elastic"
 	"disarcloud/internal/finmath"
 )
 
-// SimPolicy is what the simulator drives: one Decide per control tick,
-// observing (jobs in system, pool size, arrival rate) and returning the
-// worker target. Runtime implements it for learned tables; the experiments
-// package adapts the verifier's reactive/hybrid FSMs to it, so all three
-// policy families replay the identical dynamics.
-type SimPolicy interface {
-	Reset()
-	Decide(queue, workers int, ratePerTick float64) int
-}
-
-// SimConfig fixes the simulated control plane: the same queue recursion
-// internal/verify's Replay steps (service completions are per-worker
-// Bernoulli draws with probability min(1, tick/meanRuntime); arrivals land
-// after completions; the jobs-in-system count clamps at MaxQueue), plus
-// FIFO per-job latency tracking the MDP abstracts away.
+// SimConfig fixes the simulated control plane: elastic.Queue's recursion at
+// this tick, mean runtime and truncation, plus FIFO per-job latency
+// tracking the MDP abstracts away.
 type SimConfig struct {
 	TickMS         int
 	MeanRuntimeMS  float64
@@ -64,14 +53,14 @@ type SimResult struct {
 // hang the simulation; whatever remains queued is reported as Unfinished.
 const drainFactor = 4
 
-// Simulate replays one trace (per-tick arrival counts plus the
-// deterministic rate profile the policy observes) through the backlog
-// dynamics under the given policy. Everything is deterministic in
-// (counts, rates, cfg.Seed, policy), which is what makes the policy
-// comparison experiment bit-reproducible.
-func Simulate(counts []int, rates []float64, pol SimPolicy, cfg SimConfig) (SimResult, error) {
-	if len(counts) == 0 || len(counts) != len(rates) {
-		return SimResult{}, fmt.Errorf("rl: trace has %d counts and %d rates", len(counts), len(rates))
+// Simulate replays one trace (per-tick arrival counts, the deterministic
+// rate profile the policy observes, optionally a planner target) through
+// the backlog dynamics under the given policy. Everything is deterministic
+// in (tr, cfg.Seed, policy), which is what makes the policy comparison
+// experiment bit-reproducible.
+func Simulate(tr elastic.Trace, pol elastic.Policy, cfg SimConfig) (SimResult, error) {
+	if len(tr.Counts) == 0 || len(tr.Counts) != len(tr.Rates) || (tr.Plans != nil && len(tr.Plans) != len(tr.Counts)) {
+		return SimResult{}, fmt.Errorf("rl: trace has %d counts, %d rates and %d plans", len(tr.Counts), len(tr.Rates), len(tr.Plans))
 	}
 	if cfg.TickMS < 1 || !(cfg.MeanRuntimeMS > 0) || math.IsInf(cfg.MeanRuntimeMS, 0) {
 		return SimResult{}, errors.New("rl: simulation needs a positive tick and mean runtime")
@@ -83,64 +72,39 @@ func Simulate(counts []int, rates []float64, pol SimPolicy, cfg SimConfig) (SimR
 		return SimResult{}, errors.New("rl: simulation needs at least one initial worker")
 	}
 	tickSec := float64(cfg.TickMS) / 1000
-	mu := tickSec / (cfg.MeanRuntimeMS / 1000)
-	if mu > 1 {
-		mu = 1
-	}
+	queue := elastic.NewQueue(tickSec, cfg.MeanRuntimeMS/1000, cfg.MaxQueue)
 	rng := finmath.NewRNG(cfg.Seed ^ 0x51a7e51a)
-	pol.Reset()
 
 	// FIFO of arrival ticks: completions pop the oldest jobs, which is how
 	// the scheduler's queue serves and what p95 latency means here.
 	fifo := make([]int, 0, cfg.MaxQueue)
 	var latencies []int
 	var res SimResult
-	w := cfg.InitialWorkers
 	queueSum := 0
-	maxTicks := drainFactor*len(counts) + 1000
-	for i := 0; ; i++ {
-		rate, arr := 0.0, 0
-		if i < len(counts) {
-			rate, arr = rates[i], counts[i]
-		} else if len(fifo) == 0 || i >= maxTicks {
-			res.Ticks = i
-			break
-		}
-		target := pol.Decide(len(fifo), w, rate)
-		if target != w {
-			res.Resizes++
-		}
-		busy := len(fifo)
-		if busy > target {
-			busy = target
-		}
-		completed := 0
-		for b := 0; b < busy; b++ {
-			if rng.Float64() < mu {
-				completed++
+	res.Ticks = queue.Replay(tr, cfg.InitialWorkers, drainFactor*len(tr.Counts)+1000, rng, elastic.Stepper(pol),
+		func(t elastic.Tick) bool {
+			if t.Target != t.Obs.Workers {
+				res.Resizes++
 			}
-		}
-		for c := 0; c < completed; c++ {
-			latencies = append(latencies, i-fifo[c]+1)
-		}
-		fifo = fifo[completed:]
-		for a := 0; a < arr; a++ {
-			if len(fifo) >= cfg.MaxQueue {
-				res.Dropped++
-				continue
+			for _, arrived := range fifo[:t.Completed] {
+				latencies = append(latencies, t.I-arrived+1)
 			}
-			fifo = append(fifo, i)
-		}
-		w = target
-		if w > res.PeakWorkers {
-			res.PeakWorkers = w
-		}
-		res.WorkerSeconds += float64(w) * tickSec
-		queueSum += len(fifo)
-		if len(fifo) >= cfg.QueueBound {
-			res.ViolationTicks++
-		}
-	}
+			fifo = fifo[t.Completed:]
+			admitted := t.Jobs - len(fifo)
+			res.Dropped += t.Arrivals - admitted
+			for a := 0; a < admitted; a++ {
+				fifo = append(fifo, t.I)
+			}
+			if t.Target > res.PeakWorkers {
+				res.PeakWorkers = t.Target
+			}
+			res.WorkerSeconds += float64(t.Target) * tickSec
+			queueSum += t.Jobs
+			if t.Jobs >= cfg.QueueBound {
+				res.ViolationTicks++
+			}
+			return true
+		})
 	res.Jobs = len(latencies)
 	res.Unfinished = len(fifo)
 	if res.Ticks > 0 {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 
+	"disarcloud/internal/elastic"
 	"disarcloud/internal/ml"
 )
 
@@ -25,9 +26,10 @@ const maxTableBytes = 8 << 20
 
 // Table is a trained policy: the spec that fixes its decision function and
 // the learned action values, Q[state][action]. The greedy policy it induces
-// is pure — Step is a function of (State, Obs) only — which is what lets
-// training, live serving and the verifier's exhaustive enumeration all run
-// the identical decision logic.
+// is pure — Step is a function of (elastic.State, elastic.Obs) only, using
+// the state's cooldown counters and PrevRate — which is what lets training,
+// live serving and the verifier's exhaustive enumeration all run the
+// identical decision logic.
 type Table struct {
 	Version int         `json:"version"`
 	Spec    Spec        `json:"spec"`
@@ -74,30 +76,24 @@ func (t *Table) Validate() error {
 	return nil
 }
 
-// capUp is the SinceUp counter's saturation point: the grow path compares
-// it against the grow cooldown, the shrink path against the shrink
-// cooldown, so it must count at least to the larger of the two.
-func (t *Table) capUp() int32 {
-	c := int32(t.Spec.GrowCooldownTicks)
-	if s := int32(t.Spec.ShrinkCooldownTicks); s > c {
-		c = s
-	}
-	return c
+// Name implements elastic.Policy.
+func (t *Table) Name() string { return "learned" }
+
+// cooldowns are the spec's rate limits as the shared counters.
+func (t *Table) cooldowns() elastic.Cooldowns {
+	return elastic.Cooldowns{Up: int64(t.Spec.GrowCooldownTicks), Down: int64(t.Spec.ShrinkCooldownTicks)}
 }
 
-// Init returns the state of a freshly deployed policy: both cooldowns read
-// as long expired (as a fresh elastic controller's zero-time stamps do)
-// and no previous rate observation.
-func (t *Table) Init() State {
-	return State{SinceUp: t.capUp(), SinceDown: int32(t.Spec.ShrinkCooldownTicks)}
-}
+// Init implements elastic.Policy: both cooldowns read as long expired and
+// there is no previous rate observation.
+func (t *Table) Init() elastic.State { return t.cooldowns().Init() }
 
 // rateBucket discretizes an arrival rate.
-func (t *Table) rateBucket(rate float64) int32 {
+func (t *Table) rateBucket(rate float64) int64 {
 	if math.IsNaN(rate) || rate < 0 {
 		rate = 0
 	}
-	return int32(bucket(rate, t.Spec.RateCuts))
+	return int64(bucket(rate, t.Spec.RateCuts))
 }
 
 // StateIndex maps (state, observation) to the Q-table row: queue-pressure
@@ -108,17 +104,9 @@ func (t *Table) rateBucket(rate float64) int32 {
 // which actions can act, not which state the agent is in, and keeping them
 // out keeps the table small enough for tabular learning to converge in
 // seconds.
-func (t *Table) StateIndex(st State, obs Obs) int {
+func (t *Table) StateIndex(st elastic.State, obs elastic.Obs) int {
 	w := obs.Workers
-	div := w
-	if div < 1 {
-		div = 1
-	}
-	q := obs.Queue
-	if q < 0 {
-		q = 0
-	}
-	qb := bucket(float64(q)/float64(div), t.Spec.PressureCuts)
+	qb := bucket(obs.Pressure(), t.Spec.PressureCuts)
 
 	cur := t.rateBucket(obs.RatePerTick)
 	sb := 1 // flat, also the first-ever observation
@@ -143,57 +131,38 @@ func (t *Table) StateIndex(st State, obs Obs) int {
 	return ((qb*(len(t.Spec.RateCuts)+1)+rb)*3+sb)*t.Spec.PoolBuckets + wb
 }
 
-// Apply executes one chosen action under the controller's execution
-// semantics and advances the internal counters. It is the shared tail of
-// the greedy Step and the trainer's exploratory step: bounds enforcement
-// is immediate (and, like the live controller's, stamps no cooldowns);
-// a positive step grows by up to that step, gated by the grow cooldown; a
-// negative step releases exactly one worker, gated by the shrink cooldown
-// on both counters; everything else holds.
-func (t *Table) Apply(st State, obs Obs, action int) (State, int) {
-	s := t.Spec
+// Apply executes one chosen action and advances the internal counters. It
+// is the shared tail of the greedy Step and the trainer's exploratory step:
+// bounds enforcement is immediate and stamps no cooldowns; a positive step
+// grows by up to that step, gated by the grow cooldown; a negative step
+// releases exactly one worker, gated by the shrink cooldown; everything
+// else holds. Reasons: "learned-grow", "learned-shrink", "learned-floor",
+// "learned-ceiling".
+func (t *Table) Apply(st elastic.State, obs elastic.Obs, action int) (elastic.State, int, string) {
+	s, cd := t.Spec, t.cooldowns()
 	w := obs.Workers
-	target := w
-	sinceUp, sinceDown := st.SinceUp, st.SinceDown
-	switch {
+	target, reason := w, ""
+	switch step := s.Steps[action]; {
 	case w < s.MinWorkers:
-		target = s.MinWorkers
+		target, reason = s.MinWorkers, "learned-floor"
 	case w > s.MaxWorkers:
-		target = s.MaxWorkers
-	default:
-		step := s.Steps[action]
-		if step > 0 && w < s.MaxWorkers && sinceUp >= int32(s.GrowCooldownTicks) {
-			target = w + step
-			if target > s.MaxWorkers {
-				target = s.MaxWorkers
-			}
-			sinceUp = 0
-		} else if step < 0 && w > s.MinWorkers &&
-			sinceDown >= int32(s.ShrinkCooldownTicks) && st.SinceUp >= int32(s.ShrinkCooldownTicks) {
-			target = w - 1
-			sinceDown = 0
-		}
+		target, reason = s.MaxWorkers, "learned-ceiling"
+	case step > 0 && w < s.MaxWorkers && cd.GrowReady(st):
+		target, reason = min(w+step, s.MaxWorkers), "learned-grow"
+		st.SinceUp = 0
+	case step < 0 && w > s.MinWorkers && cd.ShrinkReady(st):
+		target, reason = w-1, "learned-shrink"
+		st.SinceDown = 0
 	}
-	next := State{
-		SinceUp:   satInc(sinceUp, t.capUp()),
-		SinceDown: satInc(sinceDown, int32(s.ShrinkCooldownTicks)),
-		PrevRate:  t.rateBucket(obs.RatePerTick) + 1,
-	}
-	return next, target
+	st = cd.Tick(st)
+	st.PrevRate = t.rateBucket(obs.RatePerTick) + 1
+	return st, target, reason
 }
 
-// satInc increments a saturating counter.
-func satInc(v, cap int32) int32 {
-	if v < cap {
-		return v + 1
-	}
-	return cap
-}
-
-// Step is the greedy policy: pick the learned best action for the
-// discretized state (deterministic lowest-index tie-break) and apply it.
-// One call is one control tick; the function is pure in (st, obs).
-func (t *Table) Step(st State, obs Obs) (State, int) {
+// Step implements elastic.Policy with the greedy policy: pick the learned
+// best action for the discretized state (deterministic lowest-index
+// tie-break) and apply it.
+func (t *Table) Step(st elastic.State, obs elastic.Obs) (elastic.State, int, string) {
 	return t.Apply(st, obs, ml.Argmax(t.Q[t.StateIndex(st, obs)]))
 }
 
@@ -274,27 +243,4 @@ func (t *Table) SaveFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-// Runtime drives a table tick by tick, carrying the State between calls —
-// the stateful wrapper the live service adapter and the simulator share.
-type Runtime struct {
-	t  *Table
-	st State
-}
-
-// NewRuntime starts a runtime at the table's initial state.
-func NewRuntime(t *Table) *Runtime { return &Runtime{t: t, st: t.Init()} }
-
-// Table exposes the underlying artifact.
-func (r *Runtime) Table() *Table { return r.t }
-
-// Reset returns the runtime to the initial state.
-func (r *Runtime) Reset() { r.st = r.t.Init() }
-
-// Decide runs one greedy control tick and returns the worker target.
-func (r *Runtime) Decide(queue, workers int, ratePerTick float64) int {
-	var target int
-	r.st, target = r.t.Step(r.st, Obs{Queue: queue, Workers: workers, RatePerTick: ratePerTick})
-	return target
 }

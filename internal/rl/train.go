@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"disarcloud/internal/elastic"
 	"disarcloud/internal/finmath"
 	"disarcloud/internal/loadgen"
 	"disarcloud/internal/ml"
@@ -13,8 +14,8 @@ const trainSeedStride = 1000003
 
 // Train runs offline Q-learning against the deterministic simulator and
 // returns the learned table. Episodes cycle through the spec's trace
-// families; within an episode the agent steps the same queue recursion
-// Simulate (and verify.Replay) uses, picks actions epsilon-greedily with
+// families; within an episode the agent steps elastic.Queue, the recursion
+// Simulate and internal/verify also run, picks actions epsilon-greedily with
 // the exploration rate decaying linearly to a tenth of its initial value,
 // and updates Q[s][a] += alpha * (r + gamma * max_a' Q[s'][a'] - Q[s][a]).
 // With Spec.Bandit the discount is forced to zero — the contextual-bandit
@@ -34,10 +35,7 @@ func Train(spec Spec) (*Table, error) {
 		gamma = 0
 	}
 	tickSec := spec.TickSeconds()
-	mu := tickSec / spec.MeanRuntimeSeconds()
-	if mu > 1 {
-		mu = 1
-	}
+	queue := elastic.NewQueue(tickSec, spec.MeanRuntimeSeconds(), spec.MaxQueue)
 	explore := finmath.NewRNG(spec.Seed ^ 0xe8b7015e)
 	for ep := 0; ep < spec.Episodes; ep++ {
 		trace := spec.Traces[ep%len(spec.Traces)]
@@ -53,68 +51,47 @@ func Train(spec Spec) (*Table, error) {
 		}
 		env := finmath.NewRNG(spec.Seed ^ 0x0e50de ^ uint64(ep)*trainSeedStride)
 		st := t.Init()
-		q, w := 0, spec.MinWorkers
-		for i := range counts {
-			obs := Obs{Queue: q, Workers: w, RatePerTick: rates[i]}
-			idx := t.StateIndex(st, obs)
-			var action int
-			if explore.Float64() < eps {
-				action = explore.Intn(spec.NumActions())
-			} else {
-				action = ml.Argmax(t.Q[idx])
-			}
-			st2, target := t.Apply(st, obs, action)
-
-			// One tick of the backlog recursion, exactly as Simulate and
-			// verify.Replay step it.
-			busy := q
-			if busy > target {
-				busy = target
-			}
-			completed := 0
-			for b := 0; b < busy; b++ {
-				if env.Float64() < mu {
-					completed++
+		// The tick's row, action and successor policy state, handed from
+		// the decision to the update.
+		var idx, action int
+		var st2 elastic.State
+		queue.Replay(elastic.Trace{Counts: counts, Rates: rates}, spec.MinWorkers, 0, env,
+			func(obs elastic.Obs) int {
+				idx = t.StateIndex(st, obs)
+				if explore.Float64() < eps {
+					action = explore.Intn(spec.NumActions())
+				} else {
+					action = ml.Argmax(t.Q[idx])
 				}
-			}
-			q2 := q + counts[i] - completed
-			if q2 < 0 {
-				q2 = 0
-			} else if q2 > spec.MaxQueue {
-				q2 = spec.MaxQueue
-			}
+				var target int
+				st2, target, _ = t.Apply(st, obs, action)
+				return target
+			},
+			func(tk elastic.Tick) bool {
+				reward := -spec.CostWeight * float64(tk.Target) * tickSec
+				if tk.Target != tk.Obs.Workers {
+					reward -= spec.ChurnWeight
+				}
+				if tk.Jobs >= spec.QueueBound {
+					reward -= spec.SLAWeight
+				}
+				// The latency penalty charges WAITING jobs — in-system beyond
+				// the pool — not jobs in service: a pool sized to its backlog
+				// waits nothing, so this term is what teaches the policy to
+				// track demand instead of blanket over-provisioning.
+				waiting := min(max(tk.Jobs-tk.Target, 0), spec.QueueBound)
+				reward -= spec.QueueWeight * float64(waiting) / float64(spec.QueueBound)
 
-			reward := -spec.CostWeight * float64(target) * tickSec
-			if target != w {
-				reward -= spec.ChurnWeight
-			}
-			if q2 >= spec.QueueBound {
-				reward -= spec.SLAWeight
-			}
-			// The latency penalty charges WAITING jobs — in-system beyond the
-			// pool — not jobs in service: a pool sized to its backlog waits
-			// nothing, so this term is what teaches the policy to track demand
-			// instead of blanket over-provisioning.
-			waiting := q2 - target
-			if waiting < 0 {
-				waiting = 0
-			} else if waiting > spec.QueueBound {
-				waiting = spec.QueueBound
-			}
-			reward -= spec.QueueWeight * float64(waiting) / float64(spec.QueueBound)
-
-			// The successor observation sees the next tick's profile rate —
-			// what the policy will actually be shown there.
-			nextRate := rates[i]
-			if i+1 < len(rates) {
-				nextRate = rates[i+1]
-			}
-			idx2 := t.StateIndex(st2, Obs{Queue: q2, Workers: target, RatePerTick: nextRate})
-			best := t.Q[idx2][ml.Argmax(t.Q[idx2])]
-			t.Q[idx][action] += spec.Alpha * (reward + gamma*best - t.Q[idx][action])
-
-			st, q, w = st2, q2, target
-		}
+				// The successor observation sees the next tick's profile rate
+				// — what the policy will actually be shown there.
+				next := elastic.Backlog(tk.Jobs, tk.Target)
+				next.RatePerTick = rates[min(tk.I+1, len(rates)-1)]
+				idx2 := t.StateIndex(st2, next)
+				best := t.Q[idx2][ml.Argmax(t.Q[idx2])]
+				t.Q[idx][action] += spec.Alpha * (reward + gamma*best - t.Q[idx][action])
+				st = st2
+				return true
+			})
 	}
 	return t, nil
 }

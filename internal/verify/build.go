@@ -6,27 +6,34 @@ import (
 	"math"
 	"sort"
 	"time"
+
+	"disarcloud/internal/elastic"
 )
 
 // ServiceModel is the verified abstraction of the elastic service: a
-// scaling policy composed with a Markov arrival process over a bounded
-// queue. Its soundness caveats, in full:
+// scaling policy — the elastic.Policy the daemon itself steps — composed
+// with a Markov arrival process over elastic.Queue's bounded backlog. Its
+// soundness caveats, in full:
 //
 //   - Service times are abstracted to a per-tick completion probability
 //     mu = min(1, tick/meanRuntime) per busy worker (geometric job
 //     durations with the measured mean), not the true runtime
 //     distribution.
-//   - The hybrid planner is idealized as a perfect forecaster (it reads
-//     the current phase's true rate); forecast-model error is validated by
-//     internal/forecast's backtests, not inside the MDP.
+//   - The hybrid planner is idealized as a perfect forecaster (Plans holds
+//     the planner's target for each phase's true rate); forecast-model
+//     error is validated by internal/forecast's backtests, not inside the
+//     MDP.
 //   - The queue is truncated at MaxQueue, which must be at least the SLA's
 //     queue bound so the clamp can only merge already-violating states,
 //     never mask a violation.
 //   - Deadline pressure (elastic's "deadline" trigger) never fires: the
 //     modeled arrival stream carries no per-job deadlines.
 type ServiceModel struct {
-	Policy   Policy
+	Policy   elastic.Policy
 	Arrivals ArrivalModel
+	// Plans is the planner target each phase's observation carries, one per
+	// arrival phase; nil means no planner.
+	Plans []int
 	// Tick is the control period; one arrival-model interval is one tick.
 	Tick time.Duration
 	// MeanRuntimeSeconds is the mean per-job worker occupancy.
@@ -54,6 +61,9 @@ func (m ServiceModel) validate() error {
 	if err := m.Arrivals.Validate(); err != nil {
 		return err
 	}
+	if m.Plans != nil && len(m.Plans) != len(m.Arrivals.Rates) {
+		return fmt.Errorf("verify: %d planner targets for %d arrival phases", len(m.Plans), len(m.Arrivals.Rates))
+	}
 	if m.Tick <= 0 {
 		return errors.New("verify: control tick must be positive")
 	}
@@ -76,23 +86,25 @@ func (m ServiceModel) validate() error {
 // phase, jobs in system. It is the map key during enumeration and the sort
 // key for the canonical ordering.
 type mdpState struct {
-	pol PolicyState
+	pol elastic.State
 	w   int32
 	ph  int32
 	q   int32
 }
 
 func stateLess(a, b mdpState) bool {
-	for i := range a.pol {
-		if a.pol[i] != b.pol[i] {
-			return a.pol[i] < b.pol[i]
+	for _, f := range [...][2]int64{
+		{a.pol.SinceUp, b.pol.SinceUp},
+		{a.pol.SinceDown, b.pol.SinceDown},
+		{a.pol.Low, b.pol.Low},
+		{a.pol.Shed, b.pol.Shed},
+		{a.pol.PrevRate, b.pol.PrevRate},
+		{int64(a.w), int64(b.w)},
+		{int64(a.ph), int64(b.ph)},
+	} {
+		if f[0] != f[1] {
+			return f[0] < f[1]
 		}
-	}
-	if a.w != b.w {
-		return a.w < b.w
-	}
-	if a.ph != b.ph {
-		return a.ph < b.ph
 	}
 	return a.q < b.q
 }
@@ -121,8 +133,9 @@ type MDP struct {
 // Build enumerates the reachable composed state space breadth-first,
 // canonically reorders it, and assembles the transition chain.
 //
-// One transition is one control tick, in the service's order: the policy
-// observes (queue, pool, phase rate) and decides the next pool size; the
+// One transition is one control tick of elastic.Queue's recursion with the
+// sampled quantities replaced by their distributions: the policy observes
+// (queue, pool, phase rate, phase plan) and decides the next pool size; the
 // current phase emits a truncated-Poisson arrival count; each busy worker
 // of the new pool completes its job with probability mu; the queue is
 // clamped to [0, MaxQueue]; the phase advances.
@@ -134,30 +147,15 @@ func Build(m ServiceModel) (*MDP, error) {
 	if maxStates == 0 {
 		maxStates = DefaultMaxStates
 	}
-	mu := m.Tick.Seconds() / m.MeanRuntimeSeconds
-	if mu > 1 {
-		mu = 1
-	}
+	queue := elastic.NewQueue(m.Tick.Seconds(), m.MeanRuntimeSeconds, m.MaxQueue)
 
-	// Per-phase arrival rows, and per-busy-count completion rows up to the
-	// largest pool any decision can select.
+	// Per-phase arrival rows, and per-busy-count completion rows filled in
+	// as decisions select pools.
 	arr := make([][]float64, len(m.Arrivals.Rates))
 	for ph, rate := range m.Arrivals.Rates {
 		arr[ph] = arrivalPMF(rate)
 	}
-	_, boundMax := m.Policy.Bounds()
-	maxPool := boundMax
-	if m.InitialWorkers > maxPool {
-		maxPool = m.InitialWorkers
-	}
-	maxBusy := maxPool
-	if m.MaxQueue < maxBusy {
-		maxBusy = m.MaxQueue
-	}
-	binom := make([][]float64, maxBusy+1)
-	for n := range binom {
-		binom[n] = binomialPMF(n, mu)
-	}
+	binom := make([][]float64, m.MaxQueue+1)
 
 	// Breadth-first discovery. Successor rows are recorded against
 	// discovery-order ids and remapped after the canonical sort, so the
@@ -195,14 +193,18 @@ func Build(m ServiceModel) (*MDP, error) {
 	for cursor := 0; cursor < len(frontier); cursor++ {
 		id := frontier[cursor]
 		s := states[id]
-		obs := Obs{Queue: int(s.q), Workers: int(s.w), RatePerTick: m.Arrivals.Rates[s.ph]}
-		pol2, target := m.Policy.Step(s.pol, obs)
-		if target < 0 || target > maxPool {
-			return nil, fmt.Errorf("verify: policy %q decided pool %d outside [0, %d]", m.Policy.Name(), target, maxPool)
+		obs := elastic.Backlog(int(s.q), int(s.w))
+		obs.RatePerTick = m.Arrivals.Rates[s.ph]
+		if m.Plans != nil {
+			obs.Plan = m.Plans[s.ph]
 		}
-		busy := int(s.q)
-		if target < busy {
-			busy = target
+		pol2, target, _ := m.Policy.Step(s.pol, obs)
+		if target < 0 || target > maxModelWorkers {
+			return nil, fmt.Errorf("verify: policy %q decided pool %d outside [0, %d]", m.Policy.Name(), target, maxModelWorkers)
+		}
+		busy := queue.Busy(int(s.q), target)
+		if binom[busy] == nil {
+			binom[busy] = binomialPMF(busy, queue.Mu)
 		}
 		// Queue-change convolution: arrivals from the current phase, then
 		// completions from the new pool, accumulated in ascending (a, c)
@@ -218,13 +220,7 @@ func Build(m ServiceModel) (*MDP, error) {
 				if pc == 0 {
 					continue
 				}
-				q2 := int(s.q) + a - c
-				if q2 < 0 {
-					q2 = 0
-				} else if q2 > m.MaxQueue {
-					q2 = m.MaxQueue
-				}
-				qdist[q2] += pa * pc
+				qdist[queue.Next(int(s.q), a, c)] += pa * pc
 			}
 		}
 		var edges []Edge

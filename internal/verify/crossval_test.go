@@ -10,8 +10,15 @@ import (
 // The cross-validation suite is the checker's own oracle: the MDP's
 // predicted violation probability must describe the system it claims to
 // verify, so each trace family compares the exact PViolation against the
-// empirical violation frequency over hundreds of seeded loadgen replays
-// driven through the REAL elastic.Controller.
+// empirical violation frequency over hundreds of seeded loadgen replays of
+// the same policy through the same queue kernel — sampled arrivals and
+// completions against their enumerated distributions. The policy and the
+// queue recursion are shared code, so what this cross-checks is the rest:
+// the arrival discretization, the product-chain build and value iteration.
+//
+// Every model truncates the queue at the SLA bound itself: the tightest
+// truncation that cannot mask a violation, and — a replay stops at its
+// first violation — one the replays never feel.
 //
 // Tolerances are stated per family and derive from two error sources:
 // Monte-Carlo error of the replay estimate (sigma <= 0.5/sqrt(n), so
@@ -57,11 +64,11 @@ func TestCrossValidationBurstyExact(t *testing.T) {
 	req := crossvalBase()
 	req.Trace = loadgen.Spec{Kind: loadgen.Bursty, Intervals: 256, Seed: 1, BaseRate: 1.5, PeakRate: 7}
 	req.SLA = SLA{QueueBound: 24, HorizonTicks: 60, MaxProbability: 1}
-	req.MaxQueue = 48
+	req.MaxQueue = 24
 	crossval(t, req, 250, 0.08)
 
 	req.SLA.QueueBound = 32
-	req.MaxQueue = 64
+	req.MaxQueue = 32
 	crossval(t, req, 250, 0.06)
 }
 
@@ -72,19 +79,19 @@ func TestCrossValidationDiurnalDiscretized(t *testing.T) {
 	req := crossvalBase()
 	req.Trace = loadgen.Spec{Kind: loadgen.Diurnal, Intervals: 256, Seed: 1, BaseRate: 1, PeakRate: 5, Period: 64}
 	req.SLA = SLA{QueueBound: 28, HorizonTicks: 60, MaxProbability: 1}
-	req.MaxQueue = 56
+	req.MaxQueue = 28
 	crossval(t, req, 250, 0.05)
 }
 
-// The hybrid policy's FSM (reactive controller + forecast overlay) must
-// also describe the live composition: replays run the real controller with
-// the service's overlay transcribed around it.
+// The hybrid policy's chain — every phase's observation carrying the
+// planner target for its true rate — must agree with replays carrying the
+// planner target for the trace's true rate.
 func TestCrossValidationHybridBursty(t *testing.T) {
 	req := crossvalBase()
 	req.Policy = PolicyHybrid
 	req.Headroom = 1.3
 	req.Trace = loadgen.Spec{Kind: loadgen.Bursty, Intervals: 256, Seed: 1, BaseRate: 1.5, PeakRate: 7}
 	req.SLA = SLA{QueueBound: 24, HorizonTicks: 60, MaxProbability: 1}
-	req.MaxQueue = 48
+	req.MaxQueue = 24
 	crossval(t, req, 200, 0.08)
 }

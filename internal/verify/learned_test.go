@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"disarcloud/internal/finmath"
 	"disarcloud/internal/loadgen"
 	"disarcloud/internal/rl"
 )
@@ -40,43 +39,9 @@ func learnedRequest(tbl *rl.Table) Request {
 	}
 }
 
-// TestLearnedPolicyMatchesRuntimeStepForStep: the verifier's FSM re-encoding
-// of a table and the live rl.Runtime are the same decision function — over a
-// long randomized observation sequence every target agrees.
-func TestLearnedPolicyMatchesRuntimeStepForStep(t *testing.T) {
-	tbl := learnedTestTable(t)
-	pol, err := NewLearnedPolicy(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pol.Name() != "learned" || !pol.UsesRate() || pol.Table() != tbl {
-		t.Fatal("learned policy misreports itself")
-	}
-	if lo, hi := pol.Bounds(); lo != tbl.Spec.MinWorkers || hi != tbl.Spec.MaxWorkers {
-		t.Fatalf("bounds %d..%d, want the table spec's %d..%d", lo, hi, tbl.Spec.MinWorkers, tbl.Spec.MaxWorkers)
-	}
-
-	rt := rl.NewRuntime(tbl)
-	st := pol.Init()
-	rng := finmath.NewRNG(42)
-	w := tbl.Spec.MinWorkers
-	for i := 0; i < 2000; i++ {
-		q := rng.Intn(tbl.Spec.MaxQueue + 1)
-		rate := rng.Float64() * 1.5
-		var fsmTarget int
-		st, fsmTarget = pol.Step(st, Obs{Queue: q, Workers: w, RatePerTick: rate})
-		rtTarget := rt.Decide(q, w, rate)
-		if fsmTarget != rtTarget {
-			t.Fatalf("tick %d (q=%d w=%d rate=%g): FSM target %d, runtime target %d",
-				i, q, w, rate, fsmTarget, rtTarget)
-		}
-		w = fsmTarget
-	}
-}
-
 // TestLearnedCheckAndReplay: a learned request model-checks end to end, the
-// probability is bit-deterministic, and the empirical replay (driving the
-// same greedy runtime) stays consistent with the exhaustive bound.
+// probability is bit-deterministic, and the empirical replay of the same
+// table stays consistent with the exhaustive bound.
 func TestLearnedCheckAndReplay(t *testing.T) {
 	req := learnedRequest(learnedTestTable(t))
 	a, err := Check(req)
@@ -104,8 +69,8 @@ func TestLearnedCheckAndReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The replay drives the real greedy runtime under sampled arrivals; its
-	// frequency must not wildly contradict the exhaustive bound.
+	// The replay steps the table under sampled arrivals; its frequency must
+	// not wildly contradict the exhaustive bound.
 	if diff := math.Abs(stats.Frequency - a.Properties.PViolation); diff > 0.15 {
 		t.Fatalf("replay frequency %g vs model PViolation %g (diff %g)",
 			stats.Frequency, a.Properties.PViolation, diff)

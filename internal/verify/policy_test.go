@@ -1,156 +1,140 @@
 package verify
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"disarcloud/internal/elastic"
-	"disarcloud/internal/finmath"
+	"disarcloud/internal/loadgen"
 )
 
-// driveBoth steps the FSM encoding and a real controller through the same
-// queue observations at exact tick multiples and fails on the first
-// divergent decision. It returns the final pool size so callers can chain
-// scenarios.
-func driveBoth(t *testing.T, cfg elastic.Config, tick time.Duration, startWorkers int, queues []int) int {
-	t.Helper()
-	pol, err := NewReactivePolicy(cfg, tick)
-	if err != nil {
-		t.Fatal(err)
+// boundaryRequest is a reactive request whose cooldowns are round numbers
+// of its 20ms tick: grow cooldown 3 ticks, shrink cooldown and stability
+// window 5 ticks.
+func boundaryRequest() Request {
+	return Request{
+		Policy:              PolicyReactive,
+		MinWorkers:          2,
+		MaxWorkers:          12,
+		ScaleUpPressure:     1.5,
+		ScaleDownPressure:   0.5,
+		ScaleUpCooldownMS:   60,
+		ScaleDownCooldownMS: 100,
+		ShrinkStableForMS:   100,
+		MaxStep:             3,
+		TickMS:              20,
+		MeanRuntimeMS:       50,
+		Trace:               loadgen.Spec{Kind: loadgen.Bursty, Intervals: 64, Seed: 1, BaseRate: 1, PeakRate: 4},
+		SLA:                 SLA{QueueBound: 32, HorizonTicks: 10, MaxProbability: 1},
 	}
-	ctrl, err := elastic.NewController(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := pol.Init()
-	w := startWorkers
-	now := time.Unix(0, 0)
-	for i, q := range queues {
-		inFlight := q
-		if inFlight > w {
-			inFlight = w
-		}
-		dec, act := ctrl.Decide(elastic.Signals{Now: now, Queued: q - inFlight, InFlight: inFlight, Workers: w})
-		want := w
-		if act {
-			want = dec.Target
-		}
-		var got int
-		st, got = pol.Step(st, Obs{Queue: q, Workers: w})
-		if got != want {
-			reason := "hold"
-			if act {
-				reason = dec.Reason
-			}
-			t.Fatalf("tick %d (q=%d w=%d): FSM decided %d, controller decided %d (%s)", i, q, w, got, want, reason)
-		}
-		w = want
-		now = now.Add(tick)
-	}
-	return w
 }
 
-// The boundary table pins the MDP's transition function to the
-// controller's step-for-step behavior at the exact edges that matter:
-// hysteresis band boundaries, cooldown expiry ticks, MaxStep clamping, and
-// out-of-bounds pool corrections.
-func TestReactivePolicyBoundaryTable(t *testing.T) {
-	base := elastic.Config{
-		MinWorkers:        2,
-		MaxWorkers:        12,
-		ScaleUpPressure:   1.5,
-		ScaleDownPressure: 0.5,
-		ScaleUpCooldown:   60 * time.Millisecond, // 3 ticks at 20ms
-		ScaleDownCooldown: 100 * time.Millisecond,
-		ShrinkStableFor:   100 * time.Millisecond,
-		MaxStep:           3,
+// walkPolicy steps the policy the checker would enumerate for the request
+// from Init through a sequence of jobs-in-system observations, applying
+// each target, and returns the targets and reasons.
+func walkPolicy(t *testing.T, req Request, start int, jobs []int) ([]int, []string) {
+	t.Helper()
+	if err := req.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	tick := 20 * time.Millisecond
+	pol, err := req.withDefaults().buildPolicy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, w := pol.Init(), start
+	targets := make([]int, len(jobs))
+	reasons := make([]string, len(jobs))
+	for i, q := range jobs {
+		st, targets[i], reasons[i] = pol.Step(st, elastic.Backlog(q, w))
+		w = targets[i]
+	}
+	return targets, reasons
+}
+
+// The boundary table pins the chain's transition function — the one
+// elastic.Policy.Step the daemon also runs, built at the request's tick —
+// at the exact edges that matter: hysteresis band boundaries, cooldown
+// expiry ticks, MaxStep clamping, and out-of-bounds pool corrections.
+func TestReactivePolicyBoundaryTable(t *testing.T) {
+	const b, idle, floor, ceiling = "backlog", "idle", "floor", "ceiling"
 	cases := []struct {
-		name   string
-		start  int
-		queues []int
+		name    string
+		start   int
+		jobs    []int
+		targets []int
+		reasons []string
 	}{
 		// pressure == ScaleUpPressure exactly must hold (strict >); one job
 		// more must grow.
-		{"hysteresis upper edge", 4, []int{6, 6, 7}},
+		{"hysteresis upper edge", 4, []int{6, 6, 7}, []int{4, 4, 5}, []string{"", "", b}},
 		// pressure == ScaleDownPressure exactly keeps the low window shut
 		// (strict <); below it must open, and the shrink fires only after
 		// the stability window AND both cooldowns.
-		{"hysteresis lower edge", 4, []int{2, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1}},
+		{"hysteresis lower edge", 4,
+			[]int{2, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1},
+			[]int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 3, 3},
+			[]string{"", "", "", "", "", "", "", "", "", "", "", "", "", idle, ""}},
 		// A huge backlog wants far more than MaxStep allows.
-		{"MaxStep clamp", 4, []int{40, 40, 40, 40, 40, 40, 40}},
+		{"MaxStep clamp", 4, []int{40, 40, 40, 40, 40, 40, 40}, []int{7, 7, 7, 10, 10, 10, 12},
+			[]string{b, "", "", b, "", "", b}},
 		// Growth at the ceiling, shrink at the floor: both must hold.
-		{"bounds saturate", 12, []int{40, 40, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"bounds saturate", 12,
+			[]int{40, 40, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+			[]int{12, 12, 12, 12, 12, 12, 12, 11, 11, 11, 11, 11, 10, 10, 10, 10},
+			[]string{"", "", "", "", "", "", "", idle, "", "", "", "", idle, "", "", ""}},
 		// Out-of-bounds pools are corrected immediately, cooldowns ignored.
-		{"floor correction", 1, []int{0, 0, 0}},
-		{"ceiling correction", 15, []int{0, 0, 0}},
+		{"floor correction", 1, []int{0, 0, 0}, []int{2, 2, 2}, []string{floor, "", ""}},
+		{"ceiling correction", 15, []int{0, 0, 0}, []int{12, 12, 12}, []string{ceiling, "", ""}},
 		// Cooldown expiry: grow, hold under cooldown for exactly its tick
 		// count, then grow again the first admissible tick.
-		{"cooldown expiry ticks", 4, []int{8, 9, 9, 9, 14, 14, 14, 14}},
+		{"cooldown expiry ticks", 4, []int{8, 9, 9, 9, 14, 14, 14, 14}, []int{6, 6, 6, 6, 9, 9, 9, 10},
+			[]string{b, "", "", "", b, "", "", b}},
 		// Low window interrupted right before the shrink would fire.
-		{"shrink window reset", 6, []int{1, 1, 1, 1, 9, 1, 1, 1, 1, 1, 1, 1}},
+		{"shrink window reset", 6,
+			[]int{1, 1, 1, 1, 9, 1, 1, 1, 1, 1, 1, 1},
+			[]int{6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 5, 5},
+			[]string{"", "", "", "", "", "", "", "", "", "", idle, ""}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			driveBoth(t, base, tick, tc.start, tc.queues)
+			targets, reasons := walkPolicy(t, boundaryRequest(), tc.start, tc.jobs)
+			if !reflect.DeepEqual(targets, tc.targets) || !reflect.DeepEqual(reasons, tc.reasons) {
+				t.Fatalf("jobs %v from %d workers:\n got  %v %q\n want %v %q",
+					tc.jobs, tc.start, targets, reasons, tc.targets, tc.reasons)
+			}
 		})
 	}
 }
 
-// Randomized equivalence over skewed workloads and several configurations,
-// including cooldowns that are not tick multiples (where the ceil rounding
-// must match the controller's real-time comparison).
-func TestReactivePolicyMatchesControllerRandomized(t *testing.T) {
-	configs := []elastic.Config{
-		{MinWorkers: 1, MaxWorkers: 16},
-		{MinWorkers: 2, MaxWorkers: 8, ScaleUpPressure: 2, ScaleDownPressure: 0.25,
-			ScaleUpCooldown: 30 * time.Millisecond, ScaleDownCooldown: 170 * time.Millisecond,
-			ShrinkStableFor: 90 * time.Millisecond, MaxStep: 2},
-		{MinWorkers: 4, MaxWorkers: 32, ScaleUpPressure: 1.2, ScaleDownPressure: 0.8,
-			ScaleUpCooldown: 50 * time.Millisecond, ScaleDownCooldown: 50 * time.Millisecond,
-			ShrinkStableFor: 50 * time.Millisecond, MaxStep: 8},
-	}
-	ticks := []time.Duration{20 * time.Millisecond, 35 * time.Millisecond}
-	for ci, cfg := range configs {
-		for ti, tick := range ticks {
-			rng := finmath.NewRNG(uint64(ci*10 + ti))
-			queues := make([]int, 3000)
-			level := 0.0
-			for i := range queues {
-				// A wandering load level with occasional idle spells and
-				// spikes, so every decision branch gets exercised.
-				level += (rng.Float64() - 0.5) * 6
-				if level < 0 {
-					level = 0
-				}
-				switch {
-				case rng.Float64() < 0.1:
-					queues[i] = 0
-				case rng.Float64() < 0.05:
-					queues[i] = 60 + int(rng.Float64()*60)
-				default:
-					queues[i] = int(level)
-				}
-			}
-			driveBoth(t, cfg, tick, cfg.MinWorkers, queues)
-		}
-	}
-}
-
-// The FSM must also agree when the walk starts outside the configured
-// bounds (config shrank underneath a running pool).
+// A walk that starts outside the configured bounds (config shrank
+// underneath a running pool) is corrected at once, and the correction
+// stamps no cooldown: the grow right behind a floor correction fires.
 func TestReactivePolicyStartsOutOfBounds(t *testing.T) {
-	cfg := elastic.Config{MinWorkers: 3, MaxWorkers: 6}
-	queues := []int{20, 20, 20, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
-	driveBoth(t, cfg, 50*time.Millisecond, 9, queues)
-	driveBoth(t, cfg, 50*time.Millisecond, 1, queues)
+	req := boundaryRequest()
+	req.MinWorkers, req.MaxWorkers, req.TickMS = 3, 6, 50
+	req.ScaleUpPressure, req.ScaleDownPressure, req.MaxStep = 0, 0, 0
+	req.ScaleUpCooldownMS, req.ScaleDownCooldownMS, req.ShrinkStableForMS = 0, 0, 0
+	jobs := []int{20, 20, 20, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+
+	targets, reasons := walkPolicy(t, req, 9, jobs)
+	wantT := []int{6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 5}
+	wantR := []string{"ceiling", "", "", "", "", "", "", "", "", "", "", "", "", "idle"}
+	if !reflect.DeepEqual(targets, wantT) || !reflect.DeepEqual(reasons, wantR) {
+		t.Fatalf("from above the ceiling: got %v %q, want %v %q", targets, reasons, wantT, wantR)
+	}
+	targets, reasons = walkPolicy(t, req, 1, jobs)
+	wantT = []int{3, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 5}
+	wantR = []string{"floor", "backlog", "", "", "", "", "", "", "", "", "", "", "", "idle"}
+	if !reflect.DeepEqual(targets, wantT) || !reflect.DeepEqual(reasons, wantR) {
+		t.Fatalf("from below the floor: got %v %q, want %v %q", targets, reasons, wantT, wantR)
+	}
 }
 
 func TestTicksOfRounding(t *testing.T) {
 	cases := []struct {
 		d, tick time.Duration
-		want    int32
+		want    int64
 	}{
 		{0, 20 * time.Millisecond, 0},
 		{20 * time.Millisecond, 20 * time.Millisecond, 1},
@@ -159,103 +143,30 @@ func TestTicksOfRounding(t *testing.T) {
 		{61 * time.Millisecond, 20 * time.Millisecond, 4},
 	}
 	for _, tc := range cases {
-		if got := ticksOf(tc.d, tc.tick); got != tc.want {
-			t.Errorf("ticksOf(%v, %v) = %d, want %d", tc.d, tc.tick, got, tc.want)
+		if got := elastic.TicksOf(tc.d, tc.tick); got != tc.want {
+			t.Errorf("TicksOf(%v, %v) = %d, want %d", tc.d, tc.tick, got, tc.want)
 		}
 	}
 }
 
 func TestNewPolicyRejectsBadInputs(t *testing.T) {
-	good := elastic.Config{MinWorkers: 1, MaxWorkers: 4}
-	if _, err := NewReactivePolicy(elastic.Config{MinWorkers: 5, MaxWorkers: 2}, time.Millisecond); err == nil {
-		t.Error("accepted inverted bounds")
+	mutate := func(f func(*Request)) Request {
+		r := boundaryRequest()
+		f(&r)
+		return r
 	}
-	if _, err := NewReactivePolicy(good, 0); err == nil {
-		t.Error("accepted zero tick")
+	for name, req := range map[string]Request{
+		"inverted bounds":        mutate(func(r *Request) { r.MinWorkers, r.MaxWorkers = 5, 2 }),
+		"zero tick":              mutate(func(r *Request) { r.TickMS = 0 }),
+		"hybrid inverted bounds": mutate(func(r *Request) { r.Policy = PolicyHybrid; r.MinWorkers, r.MaxWorkers = 5, 2 }),
+		"unknown family":         mutate(func(r *Request) { r.Policy = "psychic" }),
+	} {
+		if _, err := req.buildPolicy(); err == nil {
+			t.Errorf("%s: buildPolicy accepted the request", name)
+		}
 	}
-	if _, err := NewHybridPolicy(good, time.Millisecond, 1.2, 0); err == nil {
-		t.Error("accepted zero mean runtime")
-	}
-	if _, err := NewHybridPolicy(good, time.Millisecond, 1.2, 0.1); err != nil {
+	hyb := mutate(func(r *Request) { r.Policy = PolicyHybrid; r.Headroom = 1.2 })
+	if pol, err := hyb.buildPolicy(); err != nil || pol.Name() != PolicyHybrid {
 		t.Errorf("rejected a valid hybrid policy: %v", err)
-	}
-}
-
-// The hybrid FSM must track the live overlay (real controller + the
-// service's forecast overlay transcribed in Replay) decision for decision.
-// This drive re-implements the overlay around a REAL controller — the same
-// code path Replay uses — and diffs it against HybridPolicy.Step.
-func TestHybridPolicyMatchesOverlayStepForStep(t *testing.T) {
-	cfg := elastic.Config{MinWorkers: 2, MaxWorkers: 16}
-	tick := 50 * time.Millisecond
-	headroom := 1.3
-	meanRuntime := 0.08
-	pol, err := NewHybridPolicy(cfg, tick, headroom, meanRuntime)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := elastic.NewController(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dcfg := ctrl.Config()
-	planner := pol.planner
-	rng := finmath.NewRNG(21)
-	st := pol.Init()
-	w, now := 2, time.Unix(0, 0)
-	shedLow := 0
-	rate := 1.0
-	for i := 0; i < 2500; i++ {
-		rate += (rng.Float64() - 0.5) * 2
-		if rate < 0 {
-			rate = 0
-		}
-		if rate > 12 {
-			rate = 12
-		}
-		q := int(rate * float64(1+int(rng.Float64()*3)))
-		if rng.Float64() < 0.1 {
-			q = 0
-		}
-		inFlight := q
-		if inFlight > w {
-			inFlight = w
-		}
-		dec, act := ctrl.Decide(elastic.Signals{Now: now, Queued: q - inFlight, InFlight: inFlight, Workers: w})
-		want, reason := w, ""
-		if act {
-			want, reason = dec.Target, dec.Reason
-		}
-		plan := planner.Target(rate/tick.Seconds(), meanRuntime)
-		if plan > dcfg.MaxWorkers {
-			plan = dcfg.MaxWorkers
-		}
-		if plan > 0 && plan < w-1 {
-			if shedLow < shedStableTicks {
-				shedLow++
-			}
-		} else {
-			shedLow = 0
-		}
-		shed := shedLow >= shedStableTicks
-		if plan > w+dcfg.MaxStep {
-			plan = w + dcfg.MaxStep
-		}
-		switch {
-		case plan > want:
-			want, act, reason = plan, true, "forecast"
-		case shed && !act && w > dcfg.MinWorkers && q-inFlight <= w:
-			want, act, reason = w-1, true, "forecast-idle"
-		}
-		if act && reason != "forecast-idle" {
-			shedLow = 0
-		}
-		var got int
-		st, got = pol.Step(st, Obs{Queue: q, Workers: w, RatePerTick: rate})
-		if got != want {
-			t.Fatalf("tick %d (q=%d w=%d rate=%.3f): FSM decided %d, overlay decided %d (%s)", i, q, w, rate, got, want, reason)
-		}
-		w = want
-		now = now.Add(tick)
 	}
 }

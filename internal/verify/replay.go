@@ -3,19 +3,16 @@ package verify
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"disarcloud/internal/elastic"
 	"disarcloud/internal/finmath"
-	"disarcloud/internal/forecast"
 	"disarcloud/internal/loadgen"
-	"disarcloud/internal/rl"
 )
 
 // ReplayStats is the empirical side of cross-validation: the violation
-// frequency (and mean cost/churn) observed over seeded trace replays
-// driven through the REAL elastic.Controller — not the verifier's FSM
-// re-encoding of it — under the same queue dynamics the MDP models.
+// frequency (and mean cost/churn) observed over seeded trace replays of the
+// request's policy through elastic.Queue — sampled arrivals and completions
+// where the MDP carries their distributions.
 type ReplayStats struct {
 	Replays    int `json:"replays"`
 	Violations int `json:"violations"`
@@ -34,13 +31,10 @@ const replaySeedStride = 1000003
 
 // Replay measures the empirical violation frequency of a request over the
 // given number of seeded trace replays. Each replay draws a fresh trace
-// from the request's spec (seed advanced by a fixed stride), instantiates
-// a real elastic.Controller driven at exact tick multiples, applies the
-// hybrid forecast overlay when requested (with the planner reading the
-// profile's true rate, matching the MDP's perfect-forecast idealization),
-// and steps the same arrive/complete/clamp queue recursion the MDP
-// encodes. A replay violates when the jobs-in-system count reaches the
-// SLA's queue bound within the horizon.
+// from the request's spec (seed advanced by a fixed stride) and steps the
+// request's policy through it from the initial pool, the hybrid planner
+// reading the profile's true rate as in the MDP. A replay violates when the
+// jobs-in-system count reaches the SLA's queue bound within the horizon.
 func Replay(req Request, replays int) (ReplayStats, error) {
 	if err := req.Validate(); err != nil {
 		return ReplayStats{}, err
@@ -49,31 +43,16 @@ func Replay(req Request, replays int) (ReplayStats, error) {
 		return ReplayStats{}, errors.New("verify: at least one replay required")
 	}
 	d := req.withDefaults()
-	if d.Trace.WithDefaults().Intervals < d.SLA.HorizonTicks {
-		return ReplayStats{}, fmt.Errorf("verify: trace has %d intervals, horizon needs %d",
-			d.Trace.WithDefaults().Intervals, d.SLA.HorizonTicks)
+	horizon := d.SLA.HorizonTicks
+	if n := d.Trace.WithDefaults().Intervals; n < horizon {
+		return ReplayStats{}, fmt.Errorf("verify: trace has %d intervals, horizon needs %d", n, horizon)
 	}
-	learned := d.Policy == PolicyLearned
-	var dcfg elastic.Config
-	cfg := d.elasticConfig()
-	if !learned {
-		seed0, err := elastic.NewController(cfg)
-		if err != nil {
-			return ReplayStats{}, err
-		}
-		// The overlay compares against the defaulted bounds, as the service
-		// does.
-		dcfg = seed0.Config()
+	pol, err := d.buildPolicy()
+	if err != nil {
+		return ReplayStats{}, err
 	}
-	tick := time.Duration(d.TickMS) * time.Millisecond
-	tickSec := tick.Seconds()
-	meanRuntime := d.MeanRuntimeMS / 1000
-	mu := tickSec / meanRuntime
-	if mu > 1 {
-		mu = 1
-	}
-	planner := forecast.NewPlanner(d.Headroom)
-	hybrid := d.Policy == PolicyHybrid
+	tickSec := d.tick().Seconds()
+	queue := elastic.NewQueue(tickSec, d.MeanRuntimeMS/1000, d.MaxQueue)
 
 	stats := ReplayStats{Replays: replays}
 	for r := 0; r < replays; r++ {
@@ -83,108 +62,19 @@ func Replay(req Request, replays int) (ReplayStats, error) {
 		if err != nil {
 			return ReplayStats{}, err
 		}
-		var ctrl *elastic.Controller
-		var rt *rl.Runtime
-		if learned {
-			// The learned policy's "real implementation" is the table itself:
-			// the replay drives the same greedy runtime the service adapter
-			// runs, cross-validating the FSM product chain empirically.
-			rt = rl.NewRuntime(d.Table)
-		} else {
-			ctrl, err = elastic.NewController(cfg)
-			if err != nil {
-				return ReplayStats{}, err
-			}
-		}
+		tr := elastic.Trace{Counts: counts[:horizon], Rates: rates[:horizon], Plans: d.plans(rates[:horizon])}
 		rng := finmath.NewRNG(spec.Seed ^ 0x5e71ca11)
-		now := time.Unix(0, 0)
-		w, q := d.InitialWorkers, 0
-		shedLow := 0
-		violated := false
-		workerSeconds, resizes := 0.0, 0.0
-		for i := 0; i < d.SLA.HorizonTicks; i++ {
-			inFlight := q
-			if inFlight > w {
-				inFlight = w
+		queue.Replay(tr, d.InitialWorkers, 0, rng, elastic.Stepper(pol), func(t elastic.Tick) bool {
+			if t.Target != t.Obs.Workers {
+				stats.MeanResizes++
 			}
-			var target int
-			var reason string
-			var act bool
-			if learned {
-				target = rt.Decide(q, w, rates[i])
-			} else {
-				var dec elastic.Decision
-				dec, act = ctrl.Decide(elastic.Signals{
-					Now:      now,
-					Queued:   q - inFlight,
-					InFlight: inFlight,
-					Workers:  w,
-				})
-				target, reason = w, ""
-				if act {
-					target, reason = dec.Target, dec.Reason
-				}
+			stats.MeanWorkerSeconds += float64(t.Target) * tickSec
+			if t.Jobs >= d.SLA.QueueBound {
+				stats.Violations++
+				return false
 			}
-			if hybrid {
-				// The service control tick's forecast overlay, verbatim.
-				plan := planner.Target(rates[i]/tickSec, meanRuntime)
-				if plan > dcfg.MaxWorkers {
-					plan = dcfg.MaxWorkers
-				}
-				if plan > 0 && plan < w-1 {
-					if shedLow < shedStableTicks {
-						shedLow++
-					}
-				} else {
-					shedLow = 0
-				}
-				shed := shedLow >= shedStableTicks
-				if plan > w+dcfg.MaxStep {
-					plan = w + dcfg.MaxStep
-				}
-				switch {
-				case plan > target:
-					target, act, reason = plan, true, "forecast"
-				case shed && !act && w > dcfg.MinWorkers && q-inFlight <= w:
-					target, act, reason = w-1, true, "forecast-idle"
-				}
-				if act && reason != "forecast-idle" {
-					shedLow = 0
-				}
-			}
-			if target != w {
-				resizes++
-			}
-			w2 := target
-			busy := q
-			if busy > w2 {
-				busy = w2
-			}
-			completed := 0
-			for b := 0; b < busy; b++ {
-				if rng.Float64() < mu {
-					completed++
-				}
-			}
-			q = q + counts[i] - completed
-			if q < 0 {
-				q = 0
-			} else if q > d.MaxQueue {
-				q = d.MaxQueue
-			}
-			w = w2
-			workerSeconds += float64(w2) * tickSec
-			now = now.Add(tick)
-			if q >= d.SLA.QueueBound {
-				violated = true
-				break
-			}
-		}
-		if violated {
-			stats.Violations++
-		}
-		stats.MeanWorkerSeconds += workerSeconds
-		stats.MeanResizes += resizes
+			return true
+		})
 	}
 	stats.Frequency = float64(stats.Violations) / float64(replays)
 	stats.MeanWorkerSeconds /= float64(replays)

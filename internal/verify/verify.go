@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"disarcloud/internal/elastic"
+	"disarcloud/internal/forecast"
 	"disarcloud/internal/loadgen"
 	"disarcloud/internal/rl"
 )
@@ -36,15 +37,15 @@ func (s SLA) Validate() error {
 
 // Request is one verification job, JSON-decodable for the cmd/disard
 // -check path. Duration knobs are in milliseconds (the natural unit at
-// control-loop scale); zero elastic fields take the controller's defaults,
+// control-loop scale); zero elastic fields take the elastic defaults,
 // exactly as the live service would run them.
 type Request struct {
-	// Policy selects the family: "reactive" (elastic controller alone),
-	// "hybrid" (controller + feed-forward forecast planner), or "learned"
-	// (a trained Q-table, internal/rl).
+	// Policy selects the family: "reactive" (elastic.Reactive), "hybrid"
+	// (elastic.Hybrid: reactive + feed-forward forecast planner), or
+	// "learned" (a trained Q-table, internal/rl).
 	Policy string `json:"policy"`
 
-	// Elastic controller configuration; zeros take elastic defaults.
+	// Threshold-policy configuration; zeros take elastic defaults.
 	MinWorkers          int     `json:"min_workers"`
 	MaxWorkers          int     `json:"max_workers"`
 	ScaleUpPressure     float64 `json:"scale_up_pressure,omitempty"`
@@ -98,7 +99,7 @@ const (
 	PolicyLearned  = "learned"
 )
 
-// elasticConfig assembles the controller configuration the request
+// elasticConfig assembles the threshold-policy configuration the request
 // describes.
 func (r Request) elasticConfig() elastic.Config {
 	return elastic.Config{
@@ -129,8 +130,8 @@ func (r Request) withDefaults() Request {
 			if r.Table != nil {
 				r.InitialWorkers = r.Table.Spec.MinWorkers
 			}
-		} else if ctrl, err := elastic.NewController(r.elasticConfig()); err == nil {
-			r.InitialWorkers = ctrl.Config().MinWorkers
+		} else {
+			r.InitialWorkers = r.elasticConfig().WithDefaults().MinWorkers
 		}
 	}
 	return r
@@ -152,7 +153,7 @@ func (r Request) Validate() error {
 		}
 	case PolicyLearned:
 		if d.Table == nil {
-			return errLearnedTable
+			return errors.New("verify: the learned policy needs a Q-table (set the qtable path or attach a loaded table)")
 		}
 		if err := d.Table.Validate(); err != nil {
 			return err
@@ -201,20 +202,45 @@ func (r Request) Validate() error {
 	return nil
 }
 
-// buildPolicy constructs the requested policy over the defaulted request.
-func (r Request) buildPolicy() (Policy, error) {
-	cfg := r.elasticConfig()
-	tick := time.Duration(r.TickMS) * time.Millisecond
+// tick is the control period.
+func (r Request) tick() time.Duration { return time.Duration(r.TickMS) * time.Millisecond }
+
+// buildPolicy constructs the requested policy over the defaulted request:
+// the very elastic.Policy the service would step, at the request's tick.
+func (r Request) buildPolicy() (elastic.Policy, error) {
 	switch r.Policy {
 	case PolicyReactive:
-		return NewReactivePolicy(cfg, tick)
+		return elastic.NewReactive(r.elasticConfig(), r.tick())
 	case PolicyHybrid:
-		return NewHybridPolicy(cfg, tick, r.Headroom, r.MeanRuntimeMS/1000)
+		return elastic.NewHybrid(r.elasticConfig(), r.tick())
 	case PolicyLearned:
-		return NewLearnedPolicy(r.Table)
+		return r.Table, nil
 	default:
 		return nil, fmt.Errorf("verify: unknown policy %q", r.Policy)
 	}
+}
+
+// plans is the planner target the hybrid policy observes at each of the
+// given true arrival rates (jobs per tick) — the perfect-forecast
+// idealization: the planner reads the rate itself instead of a fitted
+// model's extrapolation. Nil for the other policies, which read no plan.
+func (r Request) plans(rates []float64) []int {
+	if r.Policy != PolicyHybrid {
+		return nil
+	}
+	return PerfectPlans(rates, r.Headroom, r.tick(), r.MeanRuntimeMS/1000)
+}
+
+// PerfectPlans applies the feed-forward planner (headroom below 1 selects
+// the forecast default, as in the live subsystem) to true per-tick arrival
+// rates.
+func PerfectPlans(ratesPerTick []float64, headroom float64, tick time.Duration, meanRuntimeSeconds float64) []int {
+	planner := forecast.NewPlanner(headroom)
+	plans := make([]int, len(ratesPerTick))
+	for i, rate := range ratesPerTick {
+		plans[i] = planner.Target(rate/tick.Seconds(), meanRuntimeSeconds)
+	}
+	return plans
 }
 
 // model assembles the ServiceModel for the defaulted request and a
@@ -227,7 +253,8 @@ func (r Request) model(am ArrivalModel) (ServiceModel, error) {
 	return ServiceModel{
 		Policy:             pol,
 		Arrivals:           am,
-		Tick:               time.Duration(r.TickMS) * time.Millisecond,
+		Plans:              r.plans(am.Rates),
+		Tick:               r.tick(),
 		MeanRuntimeSeconds: r.MeanRuntimeMS / 1000,
 		InitialWorkers:     r.InitialWorkers,
 		MaxQueue:           r.MaxQueue,

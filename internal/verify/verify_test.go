@@ -8,7 +8,8 @@ import (
 )
 
 // checkRequest is a small, fast composition used across the API tests:
-// bursty (exact model), modest bounds, ~30k states.
+// bursty (exact model), modest bounds, the queue truncated at the SLA bound
+// itself (the tightest truncation that cannot mask a violation), ~20k states.
 func checkRequest() Request {
 	return Request{
 		Policy:        PolicyReactive,
@@ -18,8 +19,21 @@ func checkRequest() Request {
 		MeanRuntimeMS: 250,
 		Trace:         loadgen.Spec{Kind: loadgen.Bursty, Intervals: 256, Seed: 1, BaseRate: 1.5, PeakRate: 7},
 		SLA:           SLA{QueueBound: 24, HorizonTicks: 60, MaxProbability: 0.9},
-		MaxQueue:      48,
+		MaxQueue:      24,
 	}
+}
+
+// smallRequest shrinks checkRequest to a few thousand states for the tests
+// that run many checks: a narrower pool under a gentler burst, a shorter
+// horizon and a lower bound.
+func smallRequest() Request {
+	r := checkRequest()
+	r.MaxWorkers = 10
+	r.Trace.Intervals = 64
+	r.Trace.PeakRate = 5
+	r.SLA = SLA{QueueBound: 12, HorizonTicks: 30, MaxProbability: 0.9}
+	r.MaxQueue = 12
+	return r
 }
 
 func TestCheckPassAndViolationPaths(t *testing.T) {
@@ -56,16 +70,14 @@ func TestCheckPassAndViolationPaths(t *testing.T) {
 // canonical sort, value iteration — must be bit-deterministic: two
 // independent runs of the same request produce identical float64 bits.
 func TestCheckBitDeterminism(t *testing.T) {
-	reqs := []Request{checkRequest()}
-	hyb := checkRequest()
+	reqs := []Request{smallRequest()}
+	hyb := smallRequest()
 	hyb.Policy = PolicyHybrid
 	hyb.Headroom = 1.3
 	reqs = append(reqs, hyb)
-	diu := checkRequest()
-	diu.Trace = loadgen.Spec{Kind: loadgen.Diurnal, Intervals: 128, Seed: 3, BaseRate: 1, PeakRate: 4, Period: 32}
+	diu := smallRequest()
+	diu.Trace = loadgen.Spec{Kind: loadgen.Diurnal, Intervals: 64, Seed: 3, BaseRate: 1, PeakRate: 4, Period: 32}
 	diu.PhaseLevels = 3
-	diu.SLA = SLA{QueueBound: 16, HorizonTicks: 40, MaxProbability: 0.9}
-	diu.MaxQueue = 32
 	reqs = append(reqs, diu)
 	for _, req := range reqs {
 		a, err := Check(req)
@@ -146,7 +158,7 @@ func TestRequestDefaults(t *testing.T) {
 
 func TestSweepMarksParetoFront(t *testing.T) {
 	spec := SweepSpec{
-		Base:        checkRequest(),
+		Base:        smallRequest(),
 		UpPressures: []float64{1.2, 1.5, 2.0},
 		Headrooms:   []float64{0, 1.5},
 	}
