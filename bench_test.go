@@ -20,6 +20,7 @@ import (
 	"sync"
 	"testing"
 
+	"disarcloud/internal/benchgate"
 	"disarcloud/internal/cloud"
 	"disarcloud/internal/core"
 	"disarcloud/internal/eeb"
@@ -290,18 +291,51 @@ func BenchmarkAlgorithm1Selection(b *testing.B) {
 	}
 }
 
+// retrainFixture lazily builds the knowledge base that
+// `cmd/kbgen -seed 2016 -retrain-every 5 -n 600` writes — the one bench/'s
+// small_warm workload boots its daemon on.
+var retrainFixture = sync.OnceValues(func() (*kb.KB, error) {
+	c, err := experiments.NewCampaign(2016, core.WithRetrainEvery(5))
+	if err != nil {
+		return nil, err
+	}
+	return c.Deployer.KB(), c.BuildKB(600)
+})
+
 // BenchmarkKBRetrain measures one incremental retraining step of the six
-// learners on a production-size architecture slice.
+// learners on a production-size architecture slice: the largest of the
+// small_warm fixture (c4.4xlarge, 452 samples), which every op of that
+// workload retrains.
 func BenchmarkKBRetrain(b *testing.B) {
-	k := benchKB(b)
+	k, err := retrainFixture()
+	if err != nil {
+		b.Fatal(err)
+	}
+	arch, most := "", 0
+	for _, a := range k.Architectures() {
+		if n := len(k.ByArchitecture(a)); n > most {
+			arch, most = a, n
+		}
+	}
 	pred := provision.NewEnsemblePredictor(1)
-	arch := k.Architectures()[0]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := pred.RetrainArchitecture(k, arch); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(most), "samples")
+}
+
+// TestKBRetrainBenchSmoke gates BenchmarkKBRetrain against BENCH_pr15.json:
+// allocs/op and bytes/op of the learn step are hardware-independent and
+// hard-fail; its wall clock depends on how many cores train the suite, so
+// ns/op only warns.
+func TestKBRetrainBenchSmoke(t *testing.T) {
+	benchgate.Run(t, "BENCH_pr15.json", []benchgate.Row{
+		{Name: "BenchmarkKBRetrain", Bench: BenchmarkKBRetrain, BytesToo: true, NsWarnOnly: true},
+	})
 }
 
 // BenchmarkGroundTruthSample measures drawing one noisy execution-time

@@ -1,76 +1,18 @@
 package alm
 
 import (
-	"encoding/json"
-	"math"
-	"os"
 	"testing"
+
+	"disarcloud/internal/benchgate"
 )
 
-// benchBaselineFile is the committed hot-path baseline at the repo root.
-const benchBaselineFile = "../../BENCH_pr4.json"
-
-type benchBaseline struct {
-	Benchmarks []struct {
-		Name        string  `json:"name"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		AllocsPerOp float64 `json:"allocs_per_op"`
-	} `json:"benchmarks"`
-}
-
-// TestValuationHotPathBenchSmoke is the CI bench-regression gate: it replays
-// BenchmarkValuationHotPath once through testing.Benchmark and fails when
-// ns/op or allocs/op regress more than 20% against the committed
-// BENCH_pr4.json baseline. allocs/op is hardware-independent and guards the
-// zero-allocation property exactly; ns/op catches gross slowdowns on a
-// CI-class container. Opt-in via BENCH_SMOKE=1 so ordinary local `go test`
-// runs are not hostage to machine speed.
+// TestValuationHotPathBenchSmoke gates BenchmarkValuationHotPath against the
+// committed BENCH_pr4.json baseline: allocs/op guards the zero-allocation
+// property exactly (11 allocs of fixed-size scratch; any real leak back into
+// the per-path loop lands thousands over it), ns/op catches gross slowdowns
+// on a CI-class container.
 func TestValuationHotPathBenchSmoke(t *testing.T) {
-	if os.Getenv("BENCH_SMOKE") == "" {
-		t.Skip("set BENCH_SMOKE=1 to run the bench-regression smoke")
-	}
-	data, err := os.ReadFile(benchBaselineFile)
-	if err != nil {
-		t.Fatalf("read baseline: %v", err)
-	}
-	var base benchBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatalf("decode baseline: %v", err)
-	}
-	var nsBase, allocsBase float64
-	for _, b := range base.Benchmarks {
-		if b.Name == "BenchmarkValuationHotPath" {
-			nsBase, allocsBase = b.NsPerOp, b.AllocsPerOp
-		}
-	}
-	if nsBase <= 0 || allocsBase <= 0 {
-		t.Fatalf("baseline has no usable BenchmarkValuationHotPath entry (ns=%v allocs=%v)", nsBase, allocsBase)
-	}
-
-	res := testing.Benchmark(BenchmarkValuationHotPath)
-	const tolerance = 1.20 // the >20% regression bar
-	gotNs := float64(res.NsPerOp())
-	gotAllocs := float64(res.AllocsPerOp())
-	t.Logf("hot path: %.0f ns/op (baseline %.0f), %d allocs/op (baseline %.0f)",
-		gotNs, nsBase, res.AllocsPerOp(), allocsBase)
-	// allocs/op is deterministic and hardware-independent: the >20% bar is
-	// a hard failure (11 allocs of fixed-size scratch; any real leak back
-	// into the per-path loop lands thousands over it).
-	if gotAllocs > math.Ceil(allocsBase*tolerance) {
-		t.Errorf("allocs/op regressed: %.0f > %.0f (baseline %.0f +20%%) — the hot path is supposed to be allocation-free",
-			gotAllocs, math.Ceil(allocsBase*tolerance), allocsBase)
-	}
-	// Wall clock on a shared runner is noisy: >20% is a loud warning, and
-	// only a gross (>2x) slowdown — beyond plausible runner variance —
-	// hard-fails. Set BENCH_NS_STRICT=1 on a quiet, baseline-comparable
-	// machine to enforce the 20% bar on ns/op too.
-	nsBar := 2.0
-	if os.Getenv("BENCH_NS_STRICT") != "" {
-		nsBar = tolerance
-	}
-	if gotNs > nsBase*nsBar {
-		t.Errorf("ns/op regressed: %.0f > %.0f (baseline %.0f, bar %.0f%%)", gotNs, nsBase*nsBar, nsBase, (nsBar-1)*100)
-	} else if gotNs > nsBase*tolerance {
-		t.Logf("WARNING: ns/op %.0f is >20%% over the %.0f baseline (within runner-noise bar; investigate if persistent)", gotNs, nsBase)
-	}
+	benchgate.Run(t, "../../BENCH_pr4.json", []benchgate.Row{
+		{Name: "BenchmarkValuationHotPath", Bench: BenchmarkValuationHotPath},
+	})
 }

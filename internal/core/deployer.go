@@ -39,12 +39,17 @@ const MaxManualNodes = 64
 // owns the knowledge base, the predictor and the cloud provider, and runs
 // the select -> execute -> record -> retrain loop.
 //
-// A Deployer is safe for concurrent use: the whole select -> execute ->
-// record -> retrain critical section is serialised by an internal mutex, so
-// concurrent jobs' measured times enter the knowledge base one at a time
-// and every retrain sees a consistent snapshot. The simulated execution is
-// virtual time (nothing sleeps), so holding the lock across it is cheap;
-// the real valuation work runs outside the lock.
+// A Deployer is safe for concurrent use. An internal mutex serialises the
+// select -> execute -> record critical section, which ends by snapshotting
+// the affected architecture's dataset under a generation number; the
+// retrain runs outside the mutex on that snapshot, and the predictor
+// installs a suite only if its generation is newer than the one in place.
+// Every deploy returns only once its own generation (or a newer one) is
+// installed, so a single caller sees the paper's select -> execute ->
+// record -> retrain sequence exactly, while n concurrent deploys select
+// against models at most n-1 samples behind the knowledge base — as in the
+// real system, where a job's measured time arrives long after the next
+// job's selection. The real valuation work runs outside the lock too.
 type Deployer struct {
 	provider     *cloud.Provider
 	kb           *kb.KB
@@ -64,7 +69,7 @@ type Deployer struct {
 	runner BlockRunner
 
 	// mu serialises the deploy loop (selection randomness, cloud noise,
-	// knowledge-base record, retrain).
+	// knowledge-base record, training snapshot) — not the training itself.
 	mu sync.Mutex
 }
 
@@ -187,9 +192,7 @@ type Report struct {
 // selection and execution; a cancelled ctx returns ctx.Err() without
 // recording anything.
 func (d *Deployer) Deploy(ctx context.Context, f eeb.CharacteristicParams, c provision.Constraints) (*Report, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.deployLocked(ctx, f, c, d.rng, nil)
+	return d.deploy(ctx, f, c, d.rng, nil)
 }
 
 // DeploySeeded is Deploy with the cloud-side noise (boot latency, execution
@@ -205,14 +208,52 @@ func (d *Deployer) DeploySeeded(ctx context.Context, f eeb.CharacteristicParams,
 // accountant (nil = none). Campaign jobs route through here so concurrent
 // modules reserve from, and settle into, one campaign-wide balance.
 func (d *Deployer) deployBudgeted(ctx context.Context, f eeb.CharacteristicParams, c provision.Constraints, seed uint64, acct *costAccountant) (*Report, error) {
-	rng := finmath.NewRNG(seed ^ 0x9d15a7c10bd5eed5)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.deployLocked(ctx, f, c, rng, acct)
+	return d.deploy(ctx, f, c, finmath.NewRNG(seed^0x9d15a7c10bd5eed5), acct)
 }
 
-// deployLocked is the body of Deploy; d.mu must be held. The execution rng
-// is passed explicitly so per-job seed splits can bypass the shared stream.
+// learnAfter runs critical under the deploy mutex and then, outside it,
+// trains the snapshots critical took of the architectures it changed. It
+// returns once each of those generations, or a newer one, is installed.
+func (d *Deployer) learnAfter(critical func() ([]provision.Snapshot, error)) error {
+	snaps, err := func() ([]provision.Snapshot, error) {
+		d.mu.Lock()
+		defer d.mu.Unlock() // deferred: a panicking section must not wedge the deployer
+		return critical()
+	}()
+	if err != nil {
+		return err
+	}
+	return d.pred.Train(snaps)
+}
+
+// deploy is the body of Deploy. The execution rng is passed explicitly so
+// per-job seed splits can bypass the shared stream (d.rng is only ever used
+// under d.mu).
+func (d *Deployer) deploy(ctx context.Context, f eeb.CharacteristicParams, c provision.Constraints, rng *finmath.RNG, acct *costAccountant) (*Report, error) {
+	var rep *Report
+	err := d.learnAfter(func() (_ []provision.Snapshot, err error) {
+		if rep, err = d.deployLocked(ctx, f, c, rng, acct); err != nil {
+			return nil, err
+		}
+		return d.snapshotFor(rep), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// snapshotFor takes the training snapshot a recorded deploy calls for: the
+// sample's architecture, at the retrain cadence. d.mu must be held.
+func (d *Deployer) snapshotFor(rep *Report) []provision.Snapshot {
+	if rep.sample == nil || d.kb.Len()%d.retrainEvery != 0 {
+		return nil
+	}
+	return d.pred.Snapshot(d.kb, rep.sample.Architecture)
+}
+
+// deployLocked is deploy's critical section — select, execute, record;
+// d.mu must be held.
 func (d *Deployer) deployLocked(ctx context.Context, f eeb.CharacteristicParams, c provision.Constraints, rng *finmath.RNG, acct *costAccountant) (*Report, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
@@ -252,7 +293,7 @@ func (d *Deployer) deployLocked(ctx context.Context, f eeb.CharacteristicParams,
 	if acct != nil && !acct.reserve(reserveUSD) {
 		return nil, &BudgetError{CheapestUSD: reserveUSD, MaxCostUSD: acct.limit, Jobs: 1}
 	}
-	rep, err := d.execute(choice, f, rng, true)
+	rep, err := d.execute(choice, f, rng)
 	if acct != nil {
 		acct.settle(reserveUSD, rep)
 	}
@@ -288,9 +329,13 @@ func (d *Deployer) DeployManual(ctx context.Context, architecture string, nodes 
 		return nil, err
 	}
 	choice := provision.Choice{Slots: []provision.Slot{{Type: it, Nodes: nodes}}}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	rep, err := d.execute(choice, f, d.rng, true)
+	var rep *Report
+	err := d.learnAfter(func() (_ []provision.Snapshot, err error) {
+		if rep, err = d.execute(choice, f, d.rng); err != nil {
+			return nil, err
+		}
+		return d.snapshotFor(rep), nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -344,10 +389,9 @@ func (d *Deployer) CheapestFeasibleUSD(ctx context.Context, f eeb.Characteristic
 }
 
 // execute launches the chosen deploy, runs the workload, terminates the
-// cluster, records the sample(s) and — when retrain is set — rebuilds the
-// models of the affected architecture (the incremental self-optimizing
-// step). Cloud noise is drawn from rng; d.mu must be held.
-func (d *Deployer) execute(choice provision.Choice, f eeb.CharacteristicParams, rng *finmath.RNG, retrain bool) (*Report, error) {
+// cluster and records the sample. Cloud noise is drawn from rng; d.mu must
+// be held.
+func (d *Deployer) execute(choice provision.Choice, f eeb.CharacteristicParams, rng *finmath.RNG) (*Report, error) {
 	rep := &Report{Choice: choice, PredictedSeconds: choice.PredictedSeconds}
 	switch len(choice.Slots) {
 	case 1:
@@ -382,11 +426,6 @@ func (d *Deployer) execute(choice provision.Choice, f eeb.CharacteristicParams, 
 			return nil, err
 		}
 		rep.sample = &sample
-		if retrain && d.kb.Len()%d.retrainEvery == 0 {
-			if err := d.pred.RetrainArchitecture(d.kb, slot.Type.Name); err != nil {
-				return nil, err
-			}
-		}
 	case 2:
 		// Heterogeneous extension: both slots run the proportional split and
 		// finish together; the combined duration composes the slot rates.
@@ -427,22 +466,24 @@ func (d *Deployer) execute(choice provision.Choice, f eeb.CharacteristicParams, 
 // predictor would keep training on the timing of a run that produced
 // garbage. The affected architecture's models are rebuilt from the remaining
 // samples, or dropped entirely when the remainder falls below the training
-// threshold.
+// threshold. Either way the step takes a generation under the deploy mutex,
+// so a suite still training on a snapshot that held the sample is discarded
+// when it finishes.
 func (d *Deployer) forget(rep *Report) error {
 	if rep == nil || rep.sample == nil {
 		return nil
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.kb.Remove(*rep.sample) {
-		return nil
-	}
-	arch := rep.sample.Architecture
-	if d.kb.Dataset(arch).Len() >= provision.MinSamplesToTrain {
-		return d.pred.RetrainArchitecture(d.kb, arch)
-	}
-	d.pred.Drop(arch)
-	return nil
+	return d.learnAfter(func() ([]provision.Snapshot, error) {
+		if !d.kb.Remove(*rep.sample) {
+			return nil, nil
+		}
+		arch := rep.sample.Architecture
+		snaps := d.pred.Snapshot(d.kb, arch)
+		if len(snaps) == 0 {
+			d.pred.Drop(arch)
+		}
+		return snaps, nil
+	})
 }
 
 // checkMeasurement rejects non-positive or non-finite slot durations before
@@ -469,20 +510,20 @@ func (d *Deployer) Bootstrap(ctx context.Context, workloads []eeb.Characteristic
 	if maxNodes > MaxManualNodes {
 		return fmt.Errorf("core: bootstrap node bound %d exceeds the manual bound %d", maxNodes, MaxManualNodes)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, it := range d.catalog {
-		for r := 0; r < runsPerArch; r++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			f := workloads[d.rng.Intn(len(workloads))]
-			n := 1 + d.rng.Intn(maxNodes)
-			choice := provision.Choice{Slots: []provision.Slot{{Type: it, Nodes: n}}}
-			if _, err := d.execute(choice, f, d.rng, false); err != nil {
-				return fmt.Errorf("core: bootstrap %s: %w", it.Name, err)
+	return d.learnAfter(func() ([]provision.Snapshot, error) {
+		for _, it := range d.catalog {
+			for r := 0; r < runsPerArch; r++ {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+				f := workloads[d.rng.Intn(len(workloads))]
+				n := 1 + d.rng.Intn(maxNodes)
+				choice := provision.Choice{Slots: []provision.Slot{{Type: it, Nodes: n}}}
+				if _, err := d.execute(choice, f, d.rng); err != nil {
+					return nil, fmt.Errorf("core: bootstrap %s: %w", it.Name, err)
+				}
 			}
 		}
-	}
-	return d.pred.Retrain(d.kb)
+		return d.pred.Snapshot(d.kb, d.kb.Architectures()...), nil
+	})
 }

@@ -56,11 +56,11 @@ func EvaluateAccuracy(k *kb.KB, seed uint64, trainFrac float64) (*AccuracyResult
 		}
 		train, test := ds.Split(rng, trainFrac)
 		suite := ml.NewSuite(seed + 1)
+		if err := ml.TrainAll(suite, train); err != nil {
+			return nil, fmt.Errorf("experiments: training on %s: %w", arch, err)
+		}
 		evals := make([]*ml.Evaluation, len(suite))
 		for mi, m := range suite {
-			if err := m.Train(train); err != nil {
-				return nil, fmt.Errorf("experiments: %s on %s: %w", m.Name(), arch, err)
-			}
 			ev, err := ml.Evaluate(m, test)
 			if err != nil {
 				return nil, err

@@ -150,8 +150,26 @@ func fitNormalizer(d *Dataset) *normalizer {
 
 func (n *normalizer) apply(features []float64) []float64 {
 	out := make([]float64, len(features))
+	n.applyInto(out, features)
+	return out
+}
+
+func (n *normalizer) applyInto(out, features []float64) {
 	for k, v := range features {
 		out[k] = (v - n.min[k]) / n.span[k]
+	}
+}
+
+// applyAll returns the dataset's instances rescaled, their feature vectors
+// cut from one backing array — what the instance-based learners store.
+func (n *normalizer) applyAll(d *Dataset) []Instance {
+	dim := d.NumFeatures()
+	flat := make([]float64, d.Len()*dim)
+	out := make([]Instance, d.Len())
+	for i, in := range d.Instances {
+		x := flat[i*dim : (i+1)*dim : (i+1)*dim]
+		n.applyInto(x, in.Features)
+		out[i] = Instance{Features: x, Target: in.Target}
 	}
 	return out
 }

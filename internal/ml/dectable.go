@@ -2,8 +2,8 @@ package ml
 
 import (
 	"fmt"
+	"math"
 	"sort"
-	"strings"
 
 	"disarcloud/internal/finmath"
 )
@@ -22,7 +22,8 @@ type DecisionTable struct {
 
 	selected   []int
 	edges      [][]float64 // per original feature: bin upper edges
-	table      map[string]float64
+	bins       uint64      // resolved Bins: the radix of the cell keys
+	table      map[uint64]float64
 	globalMean float64
 	trained    bool
 }
@@ -47,12 +48,18 @@ func (m *DecisionTable) Train(d *Dataset) error {
 		maxStale = 5
 	}
 	dim := d.NumFeatures()
+	// A cell is keyed by its bin codes packed as the digits of a base-bins
+	// number; the widest subset must fit 64 bits.
+	if float64(dim)*math.Log2(float64(bins)) > 64 {
+		return fmt.Errorf("ml: decision table over %d features x %d bins exceeds the 64-bit cell key", dim, bins)
+	}
+	m.bins = uint64(bins)
 	m.globalMean = finmath.Mean(d.Targets())
 
 	// Equal-frequency bin edges per feature.
 	m.edges = make([][]float64, dim)
+	vals := make([]float64, d.Len())
 	for f := 0; f < dim; f++ {
-		vals := make([]float64, d.Len())
 		for i, in := range d.Instances {
 			vals[i] = in.Features[f]
 		}
@@ -64,18 +71,28 @@ func (m *DecisionTable) Train(d *Dataset) error {
 		m.edges[f] = edges
 	}
 
-	// Pre-discretise all instances once.
-	coded := make([][]int, d.Len())
+	// Pre-discretise all instances once (row-major, dim codes per instance).
+	s := &tableSearch{
+		d:      d,
+		dim:    dim,
+		bins:   m.bins,
+		coded:  make([]uint64, d.Len()*dim),
+		keys:   make([]uint64, d.Len()),
+		sums:   make(map[uint64]float64),
+		counts: make(map[uint64]int),
+	}
 	for i, in := range d.Instances {
-		coded[i] = make([]int, dim)
 		for f := 0; f < dim; f++ {
-			coded[i][f] = m.binOf(f, in.Features[f])
+			s.coded[i*dim+f] = uint64(m.binOf(f, in.Features[f]))
 		}
+	}
+	for _, in := range d.Instances {
+		s.totalSum += in.Target
 	}
 
 	// Greedy forward best-first search on LOO-CV mean absolute error.
-	selected := []int{}
-	bestScore := m.looScore(d, coded, selected)
+	selected := make([]int, 0, dim)
+	bestScore := s.looScore(selected)
 	stale := 0
 	inSet := make([]bool, dim)
 	for stale < maxStale {
@@ -85,8 +102,7 @@ func (m *DecisionTable) Train(d *Dataset) error {
 			if inSet[f] {
 				continue
 			}
-			cand := append(append([]int{}, selected...), f)
-			score := m.looScore(d, coded, cand)
+			score := s.looScore(append(selected, f))
 			if score < bestFeatScore {
 				bestFeat, bestFeatScore = f, score
 			}
@@ -105,46 +121,53 @@ func (m *DecisionTable) Train(d *Dataset) error {
 	m.selected = selected
 
 	// Final table over the chosen subset.
-	m.table = make(map[string]float64)
-	counts := make(map[string]int)
-	sums := make(map[string]float64)
-	for i, in := range d.Instances {
-		k := cellKey(coded[i], selected)
-		sums[k] += in.Target
-		counts[k]++
-	}
-	for k, s := range sums {
-		m.table[k] = s / float64(counts[k])
+	s.tabulate(selected)
+	m.table = make(map[uint64]float64, len(s.sums))
+	for k, sum := range s.sums {
+		m.table[k] = sum / float64(s.counts[k])
 	}
 	m.trained = true
 	return nil
 }
 
+// tableSearch is the state the subset search reuses across its leave-one-out
+// evaluations: the discretised instances and the per-cell accumulators.
+type tableSearch struct {
+	d        *Dataset
+	dim      int
+	bins     uint64 // radix of the cell keys
+	coded    []uint64
+	totalSum float64
+	keys     []uint64
+	sums     map[uint64]float64
+	counts   map[uint64]int
+}
+
+// tabulate fills keys, sums and counts for the table induced by subset.
+func (s *tableSearch) tabulate(subset []int) {
+	clear(s.sums)
+	clear(s.counts)
+	for i, in := range s.d.Instances {
+		k := cellKey(s.bins, s.coded[i*s.dim:(i+1)*s.dim], subset)
+		s.keys[i] = k
+		s.sums[k] += in.Target
+		s.counts[k]++
+	}
+}
+
 // looScore returns the leave-one-out MAE of the table induced by the given
 // feature subset.
-func (m *DecisionTable) looScore(d *Dataset, coded [][]int, subset []int) float64 {
-	sums := make(map[string]float64)
-	counts := make(map[string]int)
-	keys := make([]string, d.Len())
-	for i, in := range d.Instances {
-		k := cellKey(coded[i], subset)
-		keys[i] = k
-		sums[k] += in.Target
-		counts[k]++
-	}
-	totalSum := 0.0
-	for _, in := range d.Instances {
-		totalSum += in.Target
-	}
-	n := d.Len()
+func (s *tableSearch) looScore(subset []int) float64 {
+	s.tabulate(subset)
+	n := s.d.Len()
 	mae := 0.0
-	for i, in := range d.Instances {
-		k := keys[i]
+	for i, in := range s.d.Instances {
+		k := s.keys[i]
 		var pred float64
-		if counts[k] > 1 {
-			pred = (sums[k] - in.Target) / float64(counts[k]-1)
+		if c := s.counts[k]; c > 1 {
+			pred = (s.sums[k] - in.Target) / float64(c-1)
 		} else if n > 1 {
-			pred = (totalSum - in.Target) / float64(n-1)
+			pred = (s.totalSum - in.Target) / float64(n-1)
 		} else {
 			pred = in.Target
 		}
@@ -172,15 +195,13 @@ func (m *DecisionTable) binOf(feature int, v float64) int {
 	return lo
 }
 
-func cellKey(codes []int, subset []int) string {
-	if len(subset) == 0 {
-		return ""
-	}
-	var b strings.Builder
+// cellKey packs the subset's bin codes as the digits of a base-bins number.
+func cellKey(bins uint64, codes []uint64, subset []int) uint64 {
+	var k uint64
 	for _, f := range subset {
-		fmt.Fprintf(&b, "%d,", codes[f])
+		k = k*bins + codes[f]
 	}
-	return b.String()
+	return k
 }
 
 // Predict implements Model.
@@ -188,11 +209,11 @@ func (m *DecisionTable) Predict(features []float64) float64 {
 	if !m.trained {
 		return 0
 	}
-	codes := make([]int, len(features))
-	for f := range features {
-		codes[f] = m.binOf(f, features[f])
+	var k uint64
+	for _, f := range m.selected {
+		k = k*m.bins + uint64(m.binOf(f, features[f]))
 	}
-	if v, ok := m.table[cellKey(codes, m.selected)]; ok {
+	if v, ok := m.table[k]; ok {
 		return v
 	}
 	return m.globalMean

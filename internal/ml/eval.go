@@ -95,15 +95,13 @@ type Ensemble struct {
 // Name implements Model.
 func (e *Ensemble) Name() string { return "Ensemble" }
 
-// Train fits every member on the same dataset.
+// Train fits every member on the same dataset, concurrently.
 func (e *Ensemble) Train(d *Dataset) error {
 	if len(e.Models) == 0 {
 		return fmt.Errorf("ml: empty ensemble")
 	}
-	for _, m := range e.Models {
-		if err := m.Train(d); err != nil {
-			return fmt.Errorf("ml: ensemble member %s: %w", m.Name(), err)
-		}
+	if err := TrainAll(e.Models, d); err != nil {
+		return fmt.Errorf("ml: ensemble member %w", err)
 	}
 	return nil
 }

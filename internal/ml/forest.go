@@ -1,8 +1,10 @@
 package ml
 
 import (
-	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"disarcloud/internal/finmath"
 )
@@ -26,9 +28,13 @@ func NewRandomForest(seed uint64) *RandomForest { return &RandomForest{Seed: see
 // Name implements Model.
 func (f *RandomForest) Name() string { return "RF" }
 
-// Train implements Model.
+// Train implements Model. Every bootstrap index and tree seed is drawn from
+// the forest's one stream, in tree order, before any tree grows; the trees
+// are then independent and grow on GOMAXPROCS goroutines, so the trained
+// bits do not depend on the worker count or the schedule.
 func (f *RandomForest) Train(d *Dataset) error {
-	if d.Len() == 0 {
+	n := d.Len()
+	if n == 0 {
 		return ErrEmptyDataset
 	}
 	nTrees := f.Trees
@@ -36,19 +42,27 @@ func (f *RandomForest) Train(d *Dataset) error {
 		nTrees = 60
 	}
 	rng := finmath.NewRNG(f.Seed)
+	boots := make([]int, nTrees*n)
 	f.members = make([]*RandomTree, nTrees)
-	for t := 0; t < nTrees; t++ {
-		boot := NewDataset(d.Names)
-		boot.Instances = make([]Instance, d.Len())
-		for i := range boot.Instances {
-			boot.Instances[i] = d.Instances[rng.Intn(d.Len())]
+	for t := range f.members {
+		for i := t * n; i < (t+1)*n; i++ {
+			boots[i] = rng.Intn(n)
 		}
-		tree := &RandomTree{K: f.K, MinLeaf: f.MinLeaf, Seed: rng.Uint64()}
-		if err := tree.Train(boot); err != nil {
-			return fmt.Errorf("ml: forest tree %d: %w", t, err)
-		}
-		f.members[t] = tree
+		f.members[t] = &RandomTree{K: f.K, MinLeaf: f.MinLeaf, Seed: rng.Uint64()}
 	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), nTrees); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var scratch treeScratch
+			for t := int(next.Add(1)) - 1; t < nTrees; t = int(next.Add(1)) - 1 {
+				f.members[t].trainOn(d, boots[t*n:(t+1)*n], &scratch)
+			}
+		}()
+	}
+	wg.Wait()
 	f.trained = true
 	return nil
 }

@@ -37,10 +37,7 @@ func (m *KStar) Train(d *Dataset) error {
 		return ErrEmptyDataset
 	}
 	m.norm = fitNormalizer(d)
-	m.data = make([]Instance, d.Len())
-	for i, in := range d.Instances {
-		m.data[i] = Instance{Features: m.norm.apply(in.Features), Target: in.Target}
-	}
+	m.data = m.norm.applyAll(d)
 	m.trained = true
 	return nil
 }

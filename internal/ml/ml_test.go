@@ -357,6 +357,22 @@ func TestDecisionTableFallbackToGlobalMean(t *testing.T) {
 	}
 }
 
+// TestDecisionTableRejectsCellSpacesBeyondTheKey: bin codes are packed as
+// base-Bins digits of one uint64; a table too wide for that must say so
+// instead of colliding cells.
+func TestDecisionTableRejectsCellSpacesBeyondTheKey(t *testing.T) {
+	wide := NewDataset(nil)
+	_ = wide.Add(make([]float64, 22), 1) // 8^22 > 2^64
+	if err := NewDecisionTable().Train(wide); err == nil {
+		t.Fatal("22 features x 8 bins trained on a 64-bit cell key")
+	}
+	fits := NewDataset(nil)
+	_ = fits.Add(make([]float64, 21), 1) // 8^21 = 2^63
+	if err := NewDecisionTable().Train(fits); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMLPLearnsNonlinearity(t *testing.T) {
 	rng := finmath.NewRNG(31)
 	d := NewDataset(nil)

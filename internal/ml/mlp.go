@@ -20,8 +20,8 @@ type MLP struct {
 	Seed         uint64
 
 	norm       *normalizer
-	w1         [][]float64 // hidden x (in+1), last column is bias
-	w2         []float64   // hidden weights of the output unit
+	w1         []float64 // hidden rows of in+1 weights, the last one the bias
+	w2         []float64 // hidden weights of the output unit
 	b2         float64
 	tMean, tSD float64
 	trained    bool
@@ -77,14 +77,12 @@ func (m *MLP) Train(d *Dataset) error {
 		m.tSD = 1
 	}
 
-	// Xavier-style initialisation.
-	m.w1 = make([][]float64, hidden)
+	// Xavier-style initialisation. w1 is hidden rows of dim weights + bias.
+	stride := dim + 1
+	m.w1 = make([]float64, hidden*stride)
 	scale1 := 1 / math.Sqrt(float64(dim+1))
-	for h := range m.w1 {
-		m.w1[h] = make([]float64, dim+1)
-		for k := range m.w1[h] {
-			m.w1[h][k] = (2*rng.Float64() - 1) * scale1
-		}
+	for k := range m.w1 {
+		m.w1[k] = (2*rng.Float64() - 1) * scale1
 	}
 	m.w2 = make([]float64, hidden)
 	scale2 := 1 / math.Sqrt(float64(hidden))
@@ -93,19 +91,16 @@ func (m *MLP) Train(d *Dataset) error {
 	}
 	m.b2 = 0
 
-	// Pre-normalise inputs once.
-	xs := make([][]float64, d.Len())
+	// Pre-normalise inputs once, row-major.
+	xs := make([]float64, d.Len()*dim)
 	ys := make([]float64, d.Len())
 	for i, in := range d.Instances {
-		xs[i] = m.norm.apply(in.Features)
+		m.norm.applyInto(xs[i*dim:(i+1)*dim], in.Features)
 		ys[i] = (in.Target - m.tMean) / m.tSD
 	}
 
 	// Momentum buffers.
-	v1 := make([][]float64, hidden)
-	for h := range v1 {
-		v1[h] = make([]float64, dim+1)
-	}
+	v1 := make([]float64, hidden*stride)
 	v2 := make([]float64, hidden)
 	vb2 := 0.0
 
@@ -116,40 +111,44 @@ func (m *MLP) Train(d *Dataset) error {
 	}
 	// Decay the learning rate across epochs (Weka's -D behaviour) for
 	// stable convergence.
+	w1, w2, b2 := m.w1, m.w2, m.b2
 	for epoch := 0; epoch < epochs; epoch++ {
 		eta := lr / (1 + float64(epoch)/float64(epochs))
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, i := range order {
-			x, y := xs[i], ys[i]
+			x, y := xs[i*dim:(i+1)*dim], ys[i]
 			// Forward.
-			pred := m.b2
-			for h := range m.w1 {
-				s := m.w1[h][dim] // bias
+			pred := b2
+			for h := range hiddenOut {
+				w := w1[h*stride : (h+1)*stride]
+				s := w[dim] // bias
 				for k, xv := range x {
-					s += m.w1[h][k] * xv
+					s += w[k] * xv
 				}
 				hiddenOut[h] = sigmoid(s)
-				pred += m.w2[h] * hiddenOut[h]
+				pred += w2[h] * hiddenOut[h]
 			}
 			// Backward (squared error, linear output).
 			errOut := pred - y
-			for h := range m.w1 {
+			for h := range hiddenOut {
+				w, v := w1[h*stride:(h+1)*stride], v1[h*stride:(h+1)*stride]
 				gradW2 := errOut * hiddenOut[h]
 				v2[h] = mom*v2[h] - eta*gradW2
-				deltaH := errOut * m.w2[h] * hiddenOut[h] * (1 - hiddenOut[h])
-				m.w2[h] += v2[h]
+				deltaH := errOut * w2[h] * hiddenOut[h] * (1 - hiddenOut[h])
+				w2[h] += v2[h]
 				for k, xv := range x {
 					g := deltaH * xv
-					v1[h][k] = mom*v1[h][k] - eta*g
-					m.w1[h][k] += v1[h][k]
+					v[k] = mom*v[k] - eta*g
+					w[k] += v[k]
 				}
-				v1[h][dim] = mom*v1[h][dim] - eta*deltaH
-				m.w1[h][dim] += v1[h][dim]
+				v[dim] = mom*v[dim] - eta*deltaH
+				w[dim] += v[dim]
 			}
 			vb2 = mom*vb2 - eta*errOut
-			m.b2 += vb2
+			b2 += vb2
 		}
 	}
+	m.b2 = b2
 	m.trained = true
 	return nil
 }
@@ -162,12 +161,13 @@ func (m *MLP) Predict(features []float64) float64 {
 	x := m.norm.apply(features)
 	dim := len(x)
 	pred := m.b2
-	for h := range m.w1 {
-		s := m.w1[h][dim]
+	for h, w2 := range m.w2 {
+		w := m.w1[h*(dim+1) : (h+1)*(dim+1)]
+		s := w[dim]
 		for k, xv := range x {
-			s += m.w1[h][k] * xv
+			s += w[k] * xv
 		}
-		pred += m.w2[h] * sigmoid(s)
+		pred += w2 * sigmoid(s)
 	}
 	return pred*m.tSD + m.tMean
 }

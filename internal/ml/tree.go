@@ -2,7 +2,7 @@ package ml
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"disarcloud/internal/finmath"
 )
@@ -18,7 +18,7 @@ type RandomTree struct {
 	MaxDepth int // 0 = unlimited
 	Seed     uint64
 
-	root    *treeNode
+	nodes   []treeNode
 	trained bool
 }
 
@@ -28,12 +28,13 @@ func NewRandomTree(seed uint64) *RandomTree { return &RandomTree{Seed: seed} }
 // Name implements Model.
 func (t *RandomTree) Name() string { return "RT" }
 
+// treeNode is one node of the tree's flat node array; children are indices
+// into it (the root is node 0).
 type treeNode struct {
-	feature   int // -1 for leaf
-	threshold float64
-	left      *treeNode
-	right     *treeNode
-	value     float64
+	feature     int // -1 for leaf
+	threshold   float64
+	left, right int32
+	value       float64
 }
 
 // Train implements Model.
@@ -41,85 +42,142 @@ func (t *RandomTree) Train(d *Dataset) error {
 	if d.Len() == 0 {
 		return ErrEmptyDataset
 	}
-	k := t.K
-	if k <= 0 {
-		k = int(math.Ceil(math.Sqrt(float64(d.NumFeatures()))))
-	}
-	minLeaf := t.MinLeaf
-	if minLeaf <= 0 {
-		minLeaf = 2
-	}
-	rng := finmath.NewRNG(t.Seed)
 	idx := make([]int, d.Len())
 	for i := range idx {
 		idx[i] = i
 	}
-	t.root = t.grow(d, idx, k, minLeaf, 0, rng)
-	t.trained = true
+	t.trainOn(d, idx, &treeScratch{})
 	return nil
 }
 
-func (t *RandomTree) grow(d *Dataset, idx []int, k, minLeaf, depth int, rng *finmath.RNG) *treeNode {
-	if len(idx) < 2*minLeaf || (t.MaxDepth > 0 && depth >= t.MaxDepth) || constantTargets(d, idx) {
-		return &treeNode{feature: -1, value: meanTarget(d, idx)}
+// treeScratch holds the buffers one tree's growth reuses at every node. A
+// forest worker keeps one across the trees it grows.
+type treeScratch struct {
+	nodes   []treeNode
+	perm    []int
+	spill   []int // right-hand side of the split being partitioned
+	pairs   []splitPair
+	prefSum []float64
+	prefSq  []float64
+}
+
+type splitPair struct{ x, y float64 }
+
+// grower carries one tree's growth state down the recursion.
+type grower struct {
+	d                    *Dataset
+	k, minLeaf, maxDepth int
+	rng                  *finmath.RNG
+	*treeScratch
+}
+
+// trainOn grows the tree on the instances of d listed in idx (repeats
+// allowed: a forest passes a bootstrap resample), in that order. idx is
+// permuted in place.
+func (t *RandomTree) trainOn(d *Dataset, idx []int, s *treeScratch) {
+	g := grower{d: d, k: t.K, minLeaf: t.MinLeaf, maxDepth: t.MaxDepth, rng: finmath.NewRNG(t.Seed), treeScratch: s}
+	if g.k <= 0 {
+		g.k = int(math.Ceil(math.Sqrt(float64(d.NumFeatures()))))
+	}
+	if g.minLeaf <= 0 {
+		g.minLeaf = 2
+	}
+	s.nodes = s.nodes[:0]
+	g.grow(idx, 0)
+	t.nodes = append([]treeNode(nil), s.nodes...)
+	t.trained = true
+}
+
+// grow appends the subtree over idx to the node array and returns its root.
+func (g *grower) grow(idx []int, depth int) int32 {
+	d := g.d
+	self := int32(len(g.nodes))
+	g.nodes = append(g.nodes, treeNode{feature: -1})
+	if len(idx) < 2*g.minLeaf || (g.maxDepth > 0 && depth >= g.maxDepth) || constantTargets(d, idx) {
+		g.nodes[self].value = meanTarget(d, idx)
+		return self
 	}
 	dim := d.NumFeatures()
 	bestFeat, bestThr, bestScore := -1, 0.0, math.Inf(1)
 
 	// Random feature subset without replacement.
-	perm := rng.Perm(dim)
+	g.perm = g.perm[:0]
+	for f := 0; f < dim; f++ {
+		g.perm = append(g.perm, f)
+	}
+	perm := g.perm
+	g.rng.Shuffle(dim, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	tried := 0
 	for _, f := range perm {
-		if tried >= k {
+		if tried >= g.k {
 			break
 		}
 		tried++
-		thr, score, ok := bestSplitOnFeature(d, idx, f, minLeaf)
+		thr, score, ok := g.bestSplitOnFeature(idx, f)
 		if ok && score < bestScore {
 			bestFeat, bestThr, bestScore = f, thr, score
 		}
 	}
-	if bestFeat < 0 {
-		return &treeNode{feature: -1, value: meanTarget(d, idx)}
-	}
-	var left, right []int
-	for _, i := range idx {
-		if d.Instances[i].Features[bestFeat] <= bestThr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
+	nLeft := 0
+	if bestFeat >= 0 {
+		for _, i := range idx {
+			if d.Instances[i].Features[bestFeat] <= bestThr {
+				nLeft++
+			}
 		}
 	}
-	if len(left) < minLeaf || len(right) < minLeaf {
-		return &treeNode{feature: -1, value: meanTarget(d, idx)}
+	if nLeft < g.minLeaf || len(idx)-nLeft < g.minLeaf {
+		g.nodes[self].value = meanTarget(d, idx)
+		return self
 	}
-	return &treeNode{
-		feature:   bestFeat,
-		threshold: bestThr,
-		left:      t.grow(d, left, k, minLeaf, depth+1, rng),
-		right:     t.grow(d, right, k, minLeaf, depth+1, rng),
+	// Stable partition in place: both sides keep idx's order, which the
+	// children's tie-breaking among equal feature values depends on.
+	g.spill = g.spill[:0]
+	nLeft = 0
+	for _, i := range idx {
+		if d.Instances[i].Features[bestFeat] <= bestThr {
+			idx[nLeft] = i
+			nLeft++
+		} else {
+			g.spill = append(g.spill, i)
+		}
 	}
+	copy(idx[nLeft:], g.spill)
+	left := g.grow(idx[:nLeft], depth+1)
+	right := g.grow(idx[nLeft:], depth+1)
+	g.nodes[self] = treeNode{feature: bestFeat, threshold: bestThr, left: left, right: right}
+	return self
 }
 
 // bestSplitOnFeature scans the sorted unique values of feature f and returns
 // the threshold minimising the weighted sum of child variances (total sum of
 // squared deviations), requiring minLeaf instances on each side.
-func bestSplitOnFeature(d *Dataset, idx []int, f, minLeaf int) (thr, score float64, ok bool) {
-	type pair struct{ x, y float64 }
-	pairs := make([]pair, len(idx))
-	for i, id := range idx {
-		pairs[i] = pair{d.Instances[id].Features[f], d.Instances[id].Target}
+func (g *grower) bestSplitOnFeature(idx []int, f int) (thr, score float64, ok bool) {
+	pairs := g.pairs[:0]
+	for _, id := range idx {
+		in := &g.d.Instances[id]
+		pairs = append(pairs, splitPair{in.Features[f], in.Target})
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].x < pairs[j].x })
+	g.pairs = pairs
+	slices.SortFunc(pairs, func(a, b splitPair) int {
+		switch {
+		case a.x < b.x:
+			return -1
+		case b.x < a.x:
+			return 1
+		}
+		return 0
+	})
 
 	// Prefix sums for O(n) variance-at-split evaluation.
 	n := len(pairs)
-	prefSum := make([]float64, n+1)
-	prefSq := make([]float64, n+1)
+	prefSum := append(g.prefSum[:0], 0)
+	prefSq := append(g.prefSq[:0], 0)
 	for i, p := range pairs {
-		prefSum[i+1] = prefSum[i] + p.y
-		prefSq[i+1] = prefSq[i] + p.y*p.y
+		prefSum = append(prefSum, prefSum[i]+p.y)
+		prefSq = append(prefSq, prefSq[i]+p.y*p.y)
 	}
+	g.prefSum, g.prefSq = prefSum, prefSq
 	sse := func(lo, hi int) float64 { // [lo, hi)
 		cnt := float64(hi - lo)
 		if cnt == 0 {
@@ -133,7 +191,7 @@ func bestSplitOnFeature(d *Dataset, idx []int, f, minLeaf int) (thr, score float
 	best := math.Inf(1)
 	bestThr := 0.0
 	found := false
-	for i := minLeaf; i <= n-minLeaf; i++ {
+	for i := g.minLeaf; i <= n-g.minLeaf; i++ {
 		if pairs[i-1].x == pairs[i].x {
 			continue // cannot split between equal values
 		}
@@ -170,29 +228,31 @@ func (t *RandomTree) Predict(features []float64) float64 {
 	if !t.trained {
 		return 0
 	}
-	node := t.root
+	node := &t.nodes[0]
 	for node.feature >= 0 {
 		if features[node.feature] <= node.threshold {
-			node = node.left
+			node = &t.nodes[node.left]
 		} else {
-			node = node.right
+			node = &t.nodes[node.right]
 		}
 	}
 	return node.value
 }
 
 // Depth returns the tree depth (useful in tests).
-func (t *RandomTree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *treeNode) int {
-	if n == nil || n.feature < 0 {
+func (t *RandomTree) Depth() int {
+	if len(t.nodes) == 0 {
 		return 0
 	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
+	return t.depthOf(0)
+}
+
+func (t *RandomTree) depthOf(i int32) int {
+	n := t.nodes[i]
+	if n.feature < 0 {
+		return 0
 	}
-	return r + 1
+	return max(t.depthOf(n.left), t.depthOf(n.right)) + 1
 }
 
 var _ Model = (*RandomTree)(nil)

@@ -9,6 +9,7 @@ package provision
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"disarcloud/internal/eeb"
@@ -39,56 +40,129 @@ type Predictor interface {
 // six Weka-style learners trained on that architecture's slice of the
 // knowledge base; predictions are the across-model average. Retrain after
 // every recorded execution implements the self-optimizing loop.
+//
+// Training is split in two so it can run outside its caller's locks:
+// Snapshot copies an architecture's dataset and stamps it with a
+// generation number, Train fits a suite on the copy and installs it only if
+// no newer generation of that architecture has been installed (or dropped)
+// meanwhile. Suites may therefore finish training in any order; the one in
+// place is always the one trained on the most recent snapshot.
 type EnsemblePredictor struct {
 	seed uint64
 
-	mu     sync.RWMutex
-	suites map[string][]ml.Model
+	mu        sync.RWMutex
+	suites    map[string][]ml.Model
+	issued    uint64            // last generation handed out
+	installed map[string]uint64 // per architecture: generation of its suite or Drop
 }
 
 // NewEnsemblePredictor returns an untrained predictor rooted at seed.
 func NewEnsemblePredictor(seed uint64) *EnsemblePredictor {
-	return &EnsemblePredictor{seed: seed, suites: make(map[string][]ml.Model)}
+	return &EnsemblePredictor{
+		seed:      seed,
+		suites:    make(map[string][]ml.Model),
+		installed: make(map[string]uint64),
+	}
 }
 
-// Retrain rebuilds the model suites of every architecture that has at least
-// MinSamplesToTrain samples in the knowledge base. Architectures below the
-// threshold keep (or stay without) their previous models.
-func (p *EnsemblePredictor) Retrain(k *kb.KB) error {
-	for _, arch := range k.Architectures() {
-		if err := p.RetrainArchitecture(k, arch); err != nil {
+// Snapshot is one architecture's training set as it stood at a generation.
+type Snapshot struct {
+	arch string
+	gen  uint64
+	data *ml.Dataset
+}
+
+// Snapshot copies the named architectures' datasets out of the knowledge
+// base, each stamped with a fresh generation; reading and stamping are one
+// atomic step, so a later generation never holds an earlier state of the
+// knowledge base. Architectures below MinSamplesToTrain are left out:
+// retraining them is a no-op.
+func (p *EnsemblePredictor) Snapshot(k *kb.KB, archs ...string) []Snapshot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var out []Snapshot
+	for _, arch := range archs {
+		ds := k.Dataset(arch)
+		if ds.Len() < MinSamplesToTrain {
+			continue
+		}
+		p.issued++
+		out = append(out, Snapshot{arch: arch, gen: p.issued, data: ds})
+	}
+	return out
+}
+
+// Train fits a fresh suite on every snapshot, the snapshots concurrently
+// and each suite's learners concurrently, and installs each suite unless a
+// newer generation of its architecture is already in place. When it
+// returns nil, every snapshot's generation or a newer one is installed.
+func (p *EnsemblePredictor) Train(snaps []Snapshot) error {
+	errs := make([]error, len(snaps))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0)) // semaphore
+	var wg sync.WaitGroup
+	for i, s := range snaps {
+		wg.Add(1)
+		slots <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-slots }()
+			errs[i] = p.train(s)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+func (p *EnsemblePredictor) train(s Snapshot) error {
+	p.mu.RLock()
+	superseded := p.installed[s.arch] > s.gen
+	p.mu.RUnlock()
+	if superseded {
+		return nil
+	}
+	suite := ml.NewSuite(p.seed)
+	if err := ml.TrainAll(suite, s.data); err != nil {
+		return fmt.Errorf("provision: training on %s: %w", s.arch, err)
+	}
+	p.mu.Lock()
+	if p.installed[s.arch] < s.gen {
+		p.suites[s.arch] = suite
+		p.installed[s.arch] = s.gen
+	}
+	p.mu.Unlock()
+	return nil
+}
+
+// Retrain rebuilds the model suites of every architecture that has at least
+// MinSamplesToTrain samples in the knowledge base. Architectures below the
+// threshold keep (or stay without) their previous models.
+func (p *EnsemblePredictor) Retrain(k *kb.KB) error {
+	return p.Train(p.Snapshot(k, k.Architectures()...))
+}
+
 // RetrainArchitecture rebuilds the suite of one architecture — the
 // incremental step of the self-optimizing loop after a run on that
 // architecture. Below the sample threshold it is a no-op.
 func (p *EnsemblePredictor) RetrainArchitecture(k *kb.KB, arch string) error {
-	ds := k.Dataset(arch)
-	if ds.Len() < MinSamplesToTrain {
-		return nil
-	}
-	suite := ml.NewSuite(p.seed)
-	for _, m := range suite {
-		if err := m.Train(ds); err != nil {
-			return fmt.Errorf("provision: training %s on %s: %w", m.Name(), arch, err)
-		}
-	}
-	p.mu.Lock()
-	p.suites[arch] = suite
-	p.mu.Unlock()
-	return nil
+	return p.Train(p.Snapshot(k, arch))
 }
 
 // Drop discards the architecture's model suite, returning it to the
 // untrained state. Used when knowledge-base samples are retracted (e.g. a
 // panicked run) and the remainder falls below the training threshold — a
-// stale suite trained on retracted data must not keep predicting.
+// stale suite trained on retracted data must not keep predicting. Drop
+// takes a generation of its own, so a suite still training on an earlier
+// snapshot is discarded when it finishes instead of resurrecting the
+// architecture.
 func (p *EnsemblePredictor) Drop(architecture string) {
 	p.mu.Lock()
+	p.issued++
+	p.installed[architecture] = p.issued
 	delete(p.suites, architecture)
 	p.mu.Unlock()
 }
@@ -100,40 +174,53 @@ func (p *EnsemblePredictor) Trained(architecture string) bool {
 	return len(p.suites[architecture]) > 0
 }
 
-// PredictSeconds implements Predictor with the ensemble average.
+// PredictSeconds implements Predictor with the ensemble average, summed in
+// suite order.
 func (p *EnsemblePredictor) PredictSeconds(architecture string, nodes int, f eeb.CharacteristicParams) (float64, error) {
-	per, err := p.PredictPerModel(architecture, nodes, f)
+	suite, err := p.suite(architecture)
 	if err != nil {
 		return 0, err
 	}
+	features := kb.Sample{Nodes: nodes, Params: f}.Features()
 	sum := 0.0
-	for _, v := range per {
-		sum += v
+	for _, m := range suite {
+		sum += clipSeconds(m.Predict(features))
 	}
-	return sum / float64(len(per)), nil
+	return sum / float64(len(suite)), nil
 }
 
 // PredictPerModel returns each learner's individual prediction, keyed by
 // learner name — the quantities behind Table I and Figure 2.
 func (p *EnsemblePredictor) PredictPerModel(architecture string, nodes int, f eeb.CharacteristicParams) (map[string]float64, error) {
+	suite, err := p.suite(architecture)
+	if err != nil {
+		return nil, err
+	}
+	features := kb.Sample{Nodes: nodes, Params: f}.Features()
+	out := make(map[string]float64, len(suite))
+	for _, m := range suite {
+		out[m.Name()] = clipSeconds(m.Predict(features))
+	}
+	return out, nil
+}
+
+func (p *EnsemblePredictor) suite(architecture string) ([]ml.Model, error) {
 	p.mu.RLock()
 	suite := p.suites[architecture]
 	p.mu.RUnlock()
 	if len(suite) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrUntrained, architecture)
 	}
-	features := kb.Sample{Nodes: nodes, Params: f}.Features()
-	out := make(map[string]float64, len(suite))
-	for _, m := range suite {
-		pred := m.Predict(features)
-		if pred < 1 {
-			// Execution times are bounded away from zero; clip pathological
-			// extrapolations.
-			pred = 1
-		}
-		out[m.Name()] = pred
+	return suite, nil
+}
+
+// clipSeconds bounds a learner's prediction away from zero: execution times
+// are, and a pathological extrapolation must not say otherwise.
+func clipSeconds(pred float64) float64 {
+	if pred < 1 {
+		return 1
 	}
-	return out, nil
+	return pred
 }
 
 var _ Predictor = (*EnsemblePredictor)(nil)
