@@ -359,7 +359,7 @@ func run() error {
 	if *spot {
 		defaultTiers = disarcloud.AllTiers()
 	}
-	srv := &http.Server{Addr: *addr, Handler: newHandler(svc, d, *seed, defaultProxy, cl, defaultTiers, *maxCost)}
+	srv := newFrontDoor(*addr, newHandler(svc, d, *seed, defaultProxy, cl, defaultTiers, *maxCost), frontDoorReadHeaderTimeout)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	errCh := make(chan error, 1)
@@ -400,4 +400,24 @@ func run() error {
 		log.Printf("knowledge base saved to %s (%d samples)", *kbPath, d.KB().Len())
 	}
 	return nil
+}
+
+// frontDoorReadHeaderTimeout is how long a client may take to send a
+// complete request header before the daemon drops the connection.
+const frontDoorReadHeaderTimeout = 10 * time.Second
+
+// newFrontDoor builds the daemon's public HTTP server with the limits a
+// listener facing clients needs: a client that opens a connection and
+// trickles (or never finishes) its request header is cut off after
+// readHeaderTimeout, idle keep-alive connections are reaped, and headers
+// are size-bounded. There is deliberately no WriteTimeout: /result?wait=1
+// and the progress streams hold a response open for as long as a job runs.
+func newFrontDoor(addr string, h http.Handler, readHeaderTimeout time.Duration) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       2 * time.Minute,
+		MaxHeaderBytes:    64 << 10,
+	}
 }

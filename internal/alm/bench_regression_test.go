@@ -6,13 +6,26 @@ import (
 	"disarcloud/internal/benchgate"
 )
 
-// TestValuationHotPathBenchSmoke gates BenchmarkValuationHotPath against the
-// committed BENCH_pr4.json baseline: allocs/op guards the zero-allocation
-// property exactly (11 allocs of fixed-size scratch; any real leak back into
-// the per-path loop lands thousands over it), ns/op catches gross slowdowns
-// on a CI-class container.
+// TestValuationHotPathBenchSmoke gates the valuation walk against the
+// committed BENCH_pr17.json baseline. allocs/op guards the zero-allocation
+// property exactly (a handful of fixed-size scratch and result slices; any
+// real leak back into the per-path loop lands thousands over it) for the
+// single-block hot path and for the three-block job walk; ns/op catches
+// gross slowdowns on a CI-class container. The fusion itself is held as a
+// ratio measured in one process, so the runner's speed cancels: the job walk
+// should cost at most 0.6x of walking its blocks one after another.
 func TestValuationHotPathBenchSmoke(t *testing.T) {
-	benchgate.Run(t, "../../BENCH_pr4.json", []benchgate.Row{
+	benchgate.Run(t, "../../BENCH_pr17.json", []benchgate.Row{
 		{Name: "BenchmarkValuationHotPath", Bench: BenchmarkValuationHotPath},
+		{Name: "BenchmarkJobWalk/job", Bench: benchmarkJobWalk, NsWarnOnly: true},
 	})
+	perBlock, job := testing.Benchmark(benchmarkPerBlockWalk), testing.Benchmark(benchmarkJobWalk)
+	ratio := float64(job.NsPerOp()) / float64(perBlock.NsPerOp())
+	t.Logf("job walk %d ns/op, per-block walk %d ns/op: %.2fx", job.NsPerOp(), perBlock.NsPerOp(), ratio)
+	if ratio > 0.6 {
+		t.Logf("WARNING: the job walk costs %.2fx of the per-block walk, over the 0.6x it was built for (investigate if persistent)", ratio)
+	}
+	if job.AllocsPerOp() > perBlock.AllocsPerOp() {
+		t.Errorf("the job walk allocates %d/op, more than the per-block walk's %d/op", job.AllocsPerOp(), perBlock.AllocsPerOp())
+	}
 }

@@ -82,10 +82,10 @@ func (v *Valuer) CalibrateProxy(spec LSMCSpec) (*Proxy, error) {
 	n := spec.CalibOuter
 	feats := make([][]float64, n)
 	targets := make([]float64, n)
-	sc := v.newScratch()
-	err := v.forEachOuter(0, n, sc, func(i int, st OuterState) error {
+	sc := v.job.newScratch()
+	err := v.job.forEachOuter(0, n, sc, func(i int, st OuterState) error {
 		feats[i] = v.Features(st)
-		targets[i] = v.valueOuter(i, spec.CalibInner, st, sc)
+		targets[i] = v.job.valueOuter(i, spec.CalibInner, st, sc)[0]
 		return nil
 	})
 	sc.release()
@@ -160,12 +160,12 @@ func (v *Valuer) ValueLSMC(spec LSMCSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := v.block.Outer
+	n := v.Block().Outer
 	y1 := make([]float64, n)
 	discounted := make([]float64, n)
-	sc := v.newScratch()
+	sc := v.job.newScratch()
 	defer sc.release()
-	err = v.forEachOuter(0, n, sc, func(i int, st OuterState) error {
+	err = v.job.forEachOuter(0, n, sc, func(i int, st OuterState) error {
 		y1[i] = proxy.Evaluate(v.Features(st))
 		discounted[i] = st.Discount * y1[i]
 		return nil

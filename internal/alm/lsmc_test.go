@@ -104,9 +104,7 @@ func TestProxyEvaluationBitDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := v1.newScratch()
-	defer sc.release()
-	err = v1.forEachOuter(0, b.Outer, sc, func(i int, st OuterState) error {
+	err = v1.WalkOuter(context.Background(), 0, b.Outer, func(i int, st OuterState) error {
 		f := v1.Features(st)
 		if e1, e2 := p1.Evaluate(f), p2.Evaluate(f); e1 != e2 {
 			t.Fatalf("outer %d: proxy evaluations differ: %v != %v", i, e1, e2)

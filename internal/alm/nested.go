@@ -1,7 +1,6 @@
 package alm
 
 import (
-	"fmt"
 	"sort"
 
 	"disarcloud/internal/finmath"
@@ -53,7 +52,7 @@ func summarize(y1, discounted []float64, method string) *Result {
 // conditional paths. The computation is deterministic in the valuer's seed
 // and independent of any partitioning of the outer range.
 func (v *Valuer) ValueNested() (*Result, error) {
-	y1, err := v.OuterSlice(0, v.block.Outer)
+	y1, err := v.OuterSlice(0, v.Block().Outer)
 	if err != nil {
 		return nil, err
 	}
@@ -61,21 +60,11 @@ func (v *Valuer) ValueNested() (*Result, error) {
 }
 
 // Assemble turns gathered per-outer-path Y1 values (for the complete range
-// [0, block.Outer), in order) into a Result. It is used by the distributed
-// driver after collecting ValueRange results from the computing nodes.
+// [0, block.Outer), in order) into a Result; see JobValuer.Assemble.
 func (v *Valuer) Assemble(y1 []float64) (*Result, error) {
-	if len(y1) != v.block.Outer {
-		return nil, fmt.Errorf("alm: assembled %d outer values, want %d", len(y1), v.block.Outer)
-	}
-	discounted := make([]float64, len(y1))
-	sc := v.newScratch()
-	defer sc.release()
-	err := v.forEachOuter(0, len(y1), sc, func(i int, st OuterState) error {
-		discounted[i] = st.Discount * y1[i]
-		return nil
-	})
+	results, err := v.job.Assemble([][]float64{y1})
 	if err != nil {
 		return nil, err
 	}
-	return summarize(y1, discounted, "nested"), nil
+	return results[0], nil
 }

@@ -1,13 +1,8 @@
 package alm
 
 import (
-	"errors"
-	"fmt"
-
 	"disarcloud/internal/actuarial"
 	"disarcloud/internal/eeb"
-	"disarcloud/internal/fund"
-	"disarcloud/internal/stochastic"
 )
 
 // Assumptions overrides the biometric models of a valuation — the hook for
@@ -40,53 +35,11 @@ func (a Assumptions) lapse() actuarial.LapseModel {
 // Biometric basis composes multiplicatively on top of the resolved models,
 // so campaign stresses stack cleanly with explicit assumption overrides.
 func NewValuerWithAssumptions(b *eeb.Block, seed uint64, assume Assumptions) (*Valuer, error) {
-	if b == nil {
-		return nil, errors.New("alm: nil block")
-	}
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	if b.Type != eeb.ALMValuation {
-		return nil, fmt.Errorf("alm: block %s is type %s, want B", b.ID, b.Type)
-	}
-	gen, err := stochastic.NewGenerator(b.Market)
+	job, err := newJobValuer([]*eeb.Block{b}, seed, assume)
 	if err != nil {
 		return nil, err
 	}
-	fd, err := fund.New(b.Fund, b.Market)
-	if err != nil {
-		return nil, err
-	}
-	src := b.Scenarios
-	if src == nil {
-		src = stochastic.NewPathSource(gen, seed)
-	}
-	pool := b.Buffers
-	if pool == nil {
-		pool = stochastic.SharedBatchPool()
-	}
-	v := &Valuer{block: b, src: src, fund: fd, seed: seed, pool: pool, maxTerm: b.Portfolio.MaxTerm()}
-	lapse := assume.lapse()
-	if f := b.Biometric.LapseScale(); f != 1 {
-		lapse = actuarial.LapseStress{Base: lapse, Factor: f}
-	}
-	v.decrements = make([]*actuarial.DecrementTable, len(b.Portfolio.Contracts))
-	for i, c := range b.Portfolio.Contracts {
-		mort := assume.mortality(c.Gender)
-		if f := b.Biometric.MortalityScale(); f != 1 {
-			mort = actuarial.ScaledMortality{Base: mort, Factor: f}
-		}
-		eng, err := actuarial.NewEngine(mort, lapse)
-		if err != nil {
-			return nil, err
-		}
-		dec, err := eng.Decrements(c.Age, c.Term)
-		if err != nil {
-			return nil, fmt.Errorf("alm: contract %d: %w", i, err)
-		}
-		v.decrements[i] = dec
-	}
-	return v, nil
+	return &Valuer{job: job}, nil
 }
 
 // BiometricStresses holds the standard-formula SCR sub-modules computed as

@@ -8,13 +8,18 @@
 //
 // The inner loop — scenario generation plus portfolio revaluation — is the
 // dominant cost of a Solvency II workload and therefore of the VM-hours the
-// elastic provisioner buys. It runs batched and allocation-free: inner
-// paths are generated N at a time into pooled contiguous panels
-// (stochastic.Batch), and every per-path working slice (fund returns,
-// revalued sums, flow schedules, discount curves) lives in a per-walk
-// scratch reused across all outer*inner paths. Sources that cannot batch
-// fall back to one-path-at-a-time access with the same buffered arithmetic,
-// so both code paths produce bit-identical results.
+// elastic provisioner buys. There is one walk of it, JobValuer's, over all
+// the type-B blocks of a job at once: inner paths are generated N at a time
+// into pooled contiguous panels (stochastic.Batch), the fund is priced and
+// the discount curve read once per inner path, and each block's contracts —
+// compiled once into one-pass policy.Kernels — add their present values to
+// that block's own sum. Every per-path working slice lives in a per-walk
+// scratch reused across all outer*inner paths, so the walk allocates
+// nothing per path. Sources that cannot batch fall back to
+// one-path-at-a-time access with the same buffered arithmetic, so both code
+// paths produce bit-identical results. Valuer, the single-block API, is the
+// one-block case of the same walk: a block valued alone and a block valued
+// with its job's other blocks get the same bits.
 package alm
 
 import (
@@ -23,18 +28,6 @@ import (
 
 	"disarcloud/internal/actuarial"
 	"disarcloud/internal/eeb"
-	"disarcloud/internal/fund"
-	"disarcloud/internal/policy"
-	"disarcloud/internal/stochastic"
-)
-
-// innerChunk and outerChunk are the panel capacities of the batched hot
-// loop: inner paths are generated innerChunk at a time, outer paths
-// outerChunk at a time. Small enough to stay cache-resident on a typical
-// grid (tens of steps), large enough to amortise the per-fill overhead.
-const (
-	innerChunk = 32
-	outerChunk = 8
 )
 
 // DefaultLapse is the lapse assumption used when a block does not override
@@ -44,19 +37,13 @@ func DefaultLapse() actuarial.LapseModel {
 	return actuarial.DurationLapse{Initial: 0.06, Ultimate: 0.015, Decay: 0.75}
 }
 
-// Valuer executes type-B EEBs: it owns the scenario generator, the fund
+// Valuer executes one type-B EEB: it owns the scenario generator, the fund
 // evaluator and the per-contract decrement tables (the type-A inputs), and
-// exposes both plain nested Monte Carlo and LSMC valuation. A Valuer is
-// immutable after construction and safe for concurrent use provided each
-// goroutine uses its own RNG.
+// exposes both plain nested Monte Carlo and LSMC valuation. It is a
+// JobValuer over the single block, so it is immutable after construction
+// and safe for concurrent use.
 type Valuer struct {
-	block      *eeb.Block
-	src        stochastic.Source
-	fund       *fund.Fund
-	decrements []*actuarial.DecrementTable // one per contract, aligned with portfolio
-	seed       uint64
-	pool       *stochastic.BatchPool // panel pool; never nil after construction
-	maxTerm    int                   // Portfolio.MaxTerm(), hoisted out of the hot loop
+	job *JobValuer
 }
 
 // NewValuer prepares a valuer for the block, computing the type-A decrement
@@ -72,214 +59,34 @@ func NewValuer(b *eeb.Block, seed uint64) (*Valuer, error) {
 }
 
 // Block returns the block the valuer executes.
-func (v *Valuer) Block() *eeb.Block { return v.block }
-
-// scratch holds every reusable buffer of one valuation walk: the pooled
-// scenario panels plus the per-path working slices. One scratch serves all
-// outer*inner paths of a slice; it is single-goroutine state, created per
-// walk and released (panels returned to the pool) when the walk ends.
-type scratch struct {
-	pool  *stochastic.BatchPool
-	inner *stochastic.Batch // nil when the source cannot batch inner paths
-	outer *stochastic.Batch // nil when the source cannot batch outer paths
-
-	returns []float64 // book returns fed to contract flows (outer year 1 + inner years)
-	book    []float64 // fund credited-return buffer
-	market  []float64 // fund market-return buffer
-	idx     []int     // fund grid-index buffer
-	sums    []float64 // revalued-sum buffer
-	disc    []float64 // per-policy-year inner discount factors
-	flows   policy.FlowSchedule
-}
-
-// newScratch sizes a scratch for the valuer's block and draws panels from
-// the pool when the scenario source supports batching.
-func (v *Valuer) newScratch() *scratch {
-	maxTerm := v.maxTerm
-	sc := &scratch{
-		pool:    v.pool,
-		returns: make([]float64, maxTerm),
-		book:    make([]float64, maxTerm),
-		market:  make([]float64, maxTerm),
-		idx:     make([]int, maxTerm+1),
-		sums:    make([]float64, maxTerm),
-		disc:    make([]float64, maxTerm),
-		flows: policy.FlowSchedule{
-			Death:     make([]float64, maxTerm),
-			Surrender: make([]float64, maxTerm),
-			Survival:  make([]float64, maxTerm),
-		},
-	}
-	if ib, ok := v.src.(stochastic.InnerBatcher); ok {
-		sc.inner = ib.NewBatch(v.pool, innerChunk)
-		if _, ok := v.src.(stochastic.OuterBatcher); ok && sc.inner != nil {
-			sc.outer = ib.NewBatch(v.pool, outerChunk)
-		}
-	}
-	return sc
-}
-
-// release returns the scratch's panels to the pool. The scratch must not be
-// used afterwards.
-func (sc *scratch) release() {
-	sc.pool.Put(sc.inner)
-	sc.pool.Put(sc.outer)
-	sc.inner, sc.outer = nil, nil
-}
-
-// presentValue computes the time-1 present value of the portfolio's
-// liability cash flows along one inner risk-neutral scenario, given the
-// year-1 fund return realised on the outer path. The scratch's returns
-// buffer carries the outer year-1 book return at index 0 and the inner
-// path's book returns for policy years 2..T after it; flows at policy year
-// t are discounted with the inner path's discount factor from time 1 to
-// time t (cached per policy year, so the grid lookup is paid once per path
-// instead of once per contract).
-func (v *Valuer) presentValue(outerReturn float64, inner *stochastic.Scenario, sc *scratch) float64 {
-	maxTerm := v.maxTerm
-	returns := sc.returns[:maxTerm]
-	returns[0] = outerReturn
-	// Policy years 2..T consume maxTerm-1 inner book returns; the T-th
-	// return of the old one-shot evaluation was computed and discarded, so
-	// pricing exactly maxTerm-1 years is a pure saving.
-	innerReturns := v.fund.ReturnsInto(inner, maxTerm-1, sc.book, sc.market, sc.idx)
-	copy(returns[1:], innerReturns)
-
-	disc := sc.disc[:maxTerm]
-	for k := range disc {
-		// Policy year k+1 is paid at time k+1; from the time-1 viewpoint the
-		// discount spans k years on the inner grid.
-		disc[k] = inner.Discount(float64(k))
-	}
-
-	total := 0.0
-	for ci, c := range v.block.Portfolio.Contracts {
-		if err := c.FlowsInto(returns, &sc.flows, sc.sums); err != nil {
-			// Impossible by construction: returns covers MaxTerm >= c.Term.
-			panic(fmt.Sprintf("alm: internal flow error: %v", err))
-		}
-		dec := v.decrements[ci]
-		pv := 0.0
-		for t := 1; t <= c.Term; t++ {
-			k := t - 1
-			pv += disc[k] * (dec.Death[k]*sc.flows.Death[k] +
-				dec.Lapse[k]*sc.flows.Surrender[k] +
-				dec.InForce[k]*sc.flows.Survival[k])
-		}
-		pv += disc[c.Term-1] * dec.InForce[c.Term-1] * sc.flows.Maturity
-		total += pv
-	}
-	return total
-}
-
-// OuterState captures the F1-measurable state of an outer path used both to
-// condition inner simulations and as the LSMC regression features.
-type OuterState struct {
-	Scenario   *stochastic.Scenario
-	FundReturn float64 // year-1 book return I_1
-	Discount   float64 // D(0,1) on the outer path
-}
+func (v *Valuer) Block() *eeb.Block { return v.job.blocks[0] }
 
 // GenerateOuter supplies outer path i (real-world measure, 0 to 1 year) from
 // the valuer's scenario source.
 func (v *Valuer) GenerateOuter(i int) OuterState {
-	s := v.src.Outer(i)
-	returns := v.fund.Returns(s, 1)
+	s := v.job.src.Outer(i)
+	returns := v.job.fund.Returns(s, 1)
 	return OuterState{Scenario: s, FundReturn: returns[0], Discount: s.Discount(1)}
-}
-
-// outerState is GenerateOuter over an already-materialised scenario, using
-// the scratch's fund buffers.
-func (v *Valuer) outerState(s *stochastic.Scenario, sc *scratch) OuterState {
-	returns := v.fund.ReturnsInto(s, 1, sc.book, sc.market, sc.idx)
-	return OuterState{Scenario: s, FundReturn: returns[0], Discount: s.Discount(1)}
-}
-
-// forEachOuter walks outer paths [from, to) in order, materialising each
-// path's F1 state with the scratch's buffers — through the panel-batched
-// generator when the source supports it, one path at a time otherwise — and
-// invokes fn for every path. fn's OuterState (and its Scenario view) is
-// valid only for the duration of the call.
-func (v *Valuer) forEachOuter(from, to int, sc *scratch, fn func(i int, st OuterState) error) error {
-	if ob, ok := v.src.(stochastic.OuterBatcher); ok && sc.outer != nil {
-		for i0 := from; i0 < to; i0 += sc.outer.Cap() {
-			n := min(sc.outer.Cap(), to-i0)
-			ob.OuterBatch(i0, n, sc.outer)
-			for q := 0; q < n; q++ {
-				if err := fn(i0+q, v.outerState(sc.outer.View(q), sc)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	for i := from; i < to; i++ {
-		if err := fn(i, v.outerState(v.src.Outer(i), sc)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// valueOuter computes Y1 for one outer path: the inner risk-neutral average
-// of the time-1 present value over nInner conditional paths, batched
-// innerChunk at a time when the source supports it.
-func (v *Valuer) valueOuter(i, nInner int, outer OuterState, sc *scratch) float64 {
-	sum := 0.0
-	if ib, ok := v.src.(stochastic.InnerBatcher); ok && sc.inner != nil {
-		for j0 := 0; j0 < nInner; j0 += sc.inner.Cap() {
-			n := min(sc.inner.Cap(), nInner-j0)
-			ib.InnerBatch(i, j0, n, outer.Scenario, 1, sc.inner)
-			for q := 0; q < n; q++ {
-				sum += v.presentValue(outer.FundReturn, sc.inner.View(q), sc)
-			}
-		}
-	} else {
-		for j := 0; j < nInner; j++ {
-			inner := v.src.Inner(i, j, outer.Scenario, 1)
-			sum += v.presentValue(outer.FundReturn, inner, sc)
-		}
-	}
-	return sum / float64(nInner)
 }
 
 // ValueOuter computes Y1 for outer path i: the inner risk-neutral average of
 // the time-1 present value, using nInner conditional paths.
-func (v *Valuer) ValueOuter(i, nInner int) float64 {
-	sc := v.newScratch()
-	defer sc.release()
-	return v.valueOuter(i, nInner, v.outerState(v.src.Outer(i), sc), sc)
+func (v *Valuer) ValueOuter(i, nInner int) (float64, error) {
+	y1, err := v.ValueOuters(context.Background(), []int{i}, nInner, nil)
+	if err != nil {
+		return 0, err
+	}
+	return y1[0], nil
 }
 
-// ValueRange computes the Y1 values for outer paths [from, to) — the unit of
-// distribution: DISAR scatters disjoint outer ranges across computing nodes
-// and gathers the local results, which is exactly the data-separation
-// pattern Section III describes. The context is checked between outer
-// paths: a cancelled ctx aborts the walk and returns ctx.Err(). onPath,
-// when non-nil, is invoked after each completed outer path (the grid
-// engine's progress hook).
+// ValueRange computes the block's Y1 values for outer paths [from, to); see
+// JobValuer.ValueRange.
 func (v *Valuer) ValueRange(ctx context.Context, from, to int, onPath func()) ([]float64, error) {
-	if from < 0 || to < from {
-		return nil, fmt.Errorf("alm: bad outer slice [%d,%d)", from, to)
-	}
-	out := make([]float64, 0, to-from)
-	sc := v.newScratch()
-	defer sc.release()
-	nInner := v.block.Inner
-	err := v.forEachOuter(from, to, sc, func(i int, st OuterState) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		out = append(out, v.valueOuter(i, nInner, st, sc))
-		if onPath != nil {
-			onPath()
-		}
-		return nil
-	})
+	y1, err := v.job.ValueRange(ctx, from, to, onPath)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return y1[0], nil
 }
 
 // OuterSlice is ValueRange without cancellation or progress reporting.
@@ -297,9 +104,9 @@ func (v *Valuer) WalkOuter(ctx context.Context, from, to int, fn func(i int, st 
 	if from < 0 || to < from {
 		return fmt.Errorf("alm: bad outer slice [%d,%d)", from, to)
 	}
-	sc := v.newScratch()
+	sc := v.job.newScratch()
 	defer sc.release()
-	return v.forEachOuter(from, to, sc, func(i int, st OuterState) error {
+	return v.job.forEachOuter(from, to, sc, func(i int, st OuterState) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -326,14 +133,14 @@ func (v *Valuer) ValueOuters(ctx context.Context, indices []int, nInner int, onP
 		}
 	}
 	out := make([]float64, len(indices))
-	sc := v.newScratch()
+	sc := v.job.newScratch()
 	defer sc.release()
 	for k, i := range indices {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		st := v.outerState(v.src.Outer(i), sc)
-		out[k] = v.valueOuter(i, nInner, st, sc)
+		st := v.job.outerState(v.job.src.Outer(i), sc)
+		out[k] = v.job.valueOuter(i, nInner, st, sc)[0]
 		if onPath != nil {
 			onPath()
 		}

@@ -13,6 +13,7 @@ import (
 	"disarcloud/internal/alm"
 	"disarcloud/internal/core"
 	"disarcloud/internal/eeb"
+	"disarcloud/internal/finmath"
 	"disarcloud/internal/fund"
 	"disarcloud/internal/grid"
 	"disarcloud/internal/kb"
@@ -50,6 +51,27 @@ func testBlocks(t *testing.T, ref *stochastic.Ref, src stochastic.Source) []*eeb
 		eeb.SplitSpec{MaxContractsPerBlock: 2, Outer: 30, Inner: 4, ScenarioRef: ref, Scenarios: src})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return blocks
+}
+
+// jobBlocks is a whole simulation's split: the 60-contract savings-heavy
+// book at core.RunSimulation's 25 contracts per type-B block — three blocks
+// that scatter as one walk.
+func jobBlocks(t *testing.T) []*eeb.Block {
+	t.Helper()
+	p, err := policy.Generate(finmath.NewRNG(5), policy.ItalianCompanySpecs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	market := testMarket(p.MaxTerm())
+	blocks, err := eeb.SplitPortfolio(p, fund.TypicalItalianFund(5, market), market,
+		eeb.SplitSpec{MaxContractsPerBlock: 25, Outer: 30, Inner: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if groups := eeb.GroupWalks(blocks); len(groups) != 1 || len(groups[0]) != 3 {
+		t.Fatalf("60-contract job grouped into %d walks", len(groups))
 	}
 	return blocks
 }
@@ -123,7 +145,7 @@ func TestClusterMatchesSequentialBitForBit(t *testing.T) {
 }
 
 func TestClusterProgressCountsEveryPathOnce(t *testing.T) {
-	blocks := testBlocks(t, nil, nil)
+	blocks := jobBlocks(t)
 	coord, _ := startCluster(t, 2, CoordinatorConfig{})
 	perBlock := map[string]int{}
 	totals := map[string]int{}
@@ -141,33 +163,41 @@ func TestClusterProgressCountsEveryPathOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(perBlock) == 0 {
-		t.Fatal("no progress events observed")
+	if len(perBlock) != 3 {
+		t.Fatalf("progress events for %d blocks of the three-block job", len(perBlock))
 	}
 	for id, n := range perBlock {
 		if n != totals[id] {
 			t.Errorf("block %s: %d progress events for %d paths", id, n, totals[id])
 		}
 	}
+	// A path counts once per block; a slice carries all three blocks.
+	st := coord.Status()
+	if st.PathsDone != 90 || st.SlicesDispatched != 4 {
+		t.Errorf("%d paths over %d slices, want 90 over 4 (2 workers x 2 slots)", st.PathsDone, st.SlicesDispatched)
+	}
 }
 
 func TestWorkerKillMidRunIsBitIdentical(t *testing.T) {
-	blocks := testBlocks(t, nil, nil)
+	blocks := jobBlocks(t)
 	want, err := grid.RunSequential(context.Background(), blocks, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	coord, workers := startCluster(t, 3, CoordinatorConfig{})
-	// Kill one worker after the first slice completes somewhere: a small
-	// pace keeps slices in flight long enough for the kill to land mid-run.
+	// The job scatters as one wave of six slices, each held open 100 ms by
+	// its pace share. Cutting one worker's connections 30 ms in loses its
+	// two job slices mid-flight (or refuses them, on a box slow enough to
+	// dispatch later than that): both ranges must be re-sliced onto the
+	// survivors, for all three blocks at once.
 	killed := make(chan struct{})
 	go func() {
 		time.Sleep(30 * time.Millisecond)
-		workers[1].Close()
+		_ = workers[1].srv.Close()
 		close(killed)
 	}()
 	got, err := coord.RunBlocks(context.Background(), core.BlockRunRequest{
-		Blocks: blocks, Seed: 42, PaceSeconds: 0.4,
+		Blocks: blocks, Seed: 42, PaceSeconds: 0.6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +205,12 @@ func TestWorkerKillMidRunIsBitIdentical(t *testing.T) {
 	<-killed
 	assertSameResults(t, got, want)
 	st := coord.Status()
-	if st.SliceFailures == 0 {
-		t.Log("note: kill landed between slices; results verified identical anyway")
+	if st.SliceFailures == 0 || st.Reslices == 0 {
+		t.Fatalf("kill lost no slice (%d failures, %d re-slices): the re-sliced job range went untested",
+			st.SliceFailures, st.Reslices)
+	}
+	if st.PathsDone != 90 {
+		t.Fatalf("%d paths counted, want 90: a re-sliced range must count once per block", st.PathsDone)
 	}
 }
 
@@ -511,4 +545,64 @@ func TestRevocationReprovisionsWhenSlackAllows(t *testing.T) {
 	}
 	// No launcher: a no-op, never a panic.
 	NewCoordinator(CoordinatorConfig{}).maybeReprovision(context.Background())
+}
+
+// TestExecuteRejectsBadSlices: what arrives at /v1/execute is wire data. A
+// slice must carry at least one block, blocks that share a walk, and a range
+// inside their outer sample.
+func TestExecuteRejectsBadSlices(t *testing.T) {
+	w := NewWorker("solo", 1)
+	if err := w.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+
+	typeB := eeb.TypeB(jobBlocks(t))
+	wire := make([]blockWire, len(typeB))
+	for i, b := range typeB {
+		var err error
+		if wire[i], err = encodeBlock(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oddOuter := wire[1]
+	oddOuter.Outer++
+	oddFund := wire[1]
+	oddFund.Fund.TargetReturn += 0.001
+
+	post := func(req executeRequest) ([][]float64, error) {
+		var resp executeResponse
+		err := postJSON(context.Background(), http.DefaultClient, "http://"+w.Addr()+"/v1/execute", req, &resp)
+		return resp.Y1, err
+	}
+	for name, req := range map[string]executeRequest{
+		"no blocks":         {From: 0, To: 3},
+		"mixed outer sizes": {Blocks: []blockWire{wire[0], oddOuter}, From: 0, To: 3},
+		"mixed funds":       {Blocks: []blockWire{wire[0], oddFund}, From: 0, To: 3},
+		"range past outer":  {Blocks: wire, From: 28, To: 31},
+		"empty range":       {Blocks: wire, From: 3, To: 3},
+	} {
+		if _, err := post(req); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+
+	y1, err := post(executeRequest{Blocks: wire, From: 4, To: 9, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(y1) != len(typeB) {
+		t.Fatalf("%d Y1 slices for %d blocks", len(y1), len(typeB))
+	}
+	for bi, b := range typeB {
+		want, err := grid.NewEngine(42).ExecuteSlice(context.Background(), b, 4, 9, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if y1[bi][i] != want[i] {
+				t.Fatalf("block %s outer %d: worker %v, single-block engine %v", b.ID, 4+i, y1[bi][i], want[i])
+			}
+		}
+	}
 }

@@ -127,12 +127,20 @@ type heartbeatRequest struct {
 	ID string `json:"id"`
 }
 
-// executeRequest ships one outer-path slice of a type-B block to a worker.
+// maxBlocksPerSlice bounds the blocks one execute request may carry — wire
+// data is never trusted, including its fan-out. A job splits into one block
+// per 25 representative contracts, so this is a portfolio of 25,000.
+const maxBlocksPerSlice = 1000
+
+// executeRequest ships one outer-path slice of a job to a worker: the range
+// [From, To) of every block in Blocks, which must all share one walk
+// (eeb.SameWalk) — the worker values them together, generating each scenario
+// once.
 type executeRequest struct {
-	Block executeBlock `json:"block"`
-	From  int          `json:"from"`
-	To    int          `json:"to"`
-	Seed  uint64       `json:"seed"`
+	Blocks []blockWire `json:"blocks"`
+	From   int         `json:"from"`
+	To     int         `json:"to"`
+	Seed   uint64      `json:"seed"`
 	// PaceSeconds is this slice's share of the job's wall-clock occupancy;
 	// the worker holds the slice open that long (concurrently with every
 	// other slice in flight across the cluster).
@@ -143,14 +151,34 @@ type executeRequest struct {
 	ScenarioPeers []string `json:"scenarioPeers,omitempty"`
 }
 
-// executeBlock aliases blockWire for request-body clarity.
-type executeBlock = blockWire
+// decodeBlocks rebuilds and validates the request's blocks and checks the
+// slice against the first block's outer range; that the blocks share that
+// range, and a walk, is alm.NewJobValuer's check.
+func (r executeRequest) decodeBlocks() ([]*eeb.Block, error) {
+	if len(r.Blocks) == 0 || len(r.Blocks) > maxBlocksPerSlice {
+		return nil, fmt.Errorf("cluster: slice carries %d blocks, want 1..%d", len(r.Blocks), maxBlocksPerSlice)
+	}
+	blocks := make([]*eeb.Block, len(r.Blocks))
+	for i, w := range r.Blocks {
+		b, err := w.decode()
+		if err != nil {
+			return nil, err
+		}
+		blocks[i] = b
+	}
+	if r.From < 0 || r.To > blocks[0].Outer || r.From >= r.To {
+		return nil, fmt.Errorf("cluster: slice [%d,%d) outside block %s outer range %d",
+			r.From, r.To, blocks[0].ID, blocks[0].Outer)
+	}
+	return blocks, nil
+}
 
-// executeResponse returns a slice's local Y1 values. JSON float64 encoding
-// is exact (shortest round-trip representation), so the gathered values are
-// bit-identical to an in-process run.
+// executeResponse returns a slice's local Y1 values, one slice per block in
+// request order. JSON float64 encoding is exact (shortest round-trip
+// representation), so the gathered values are bit-identical to an
+// in-process run.
 type executeResponse struct {
-	Y1 []float64 `json:"y1"`
+	Y1 [][]float64 `json:"y1"`
 }
 
 // scenarioRequest asks a node for one outer path of a ref's base set — the

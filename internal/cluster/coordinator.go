@@ -248,82 +248,91 @@ func (c *Coordinator) maybeReprovision(ctx context.Context) {
 // sliceRange is a contiguous outer-path range awaiting execution.
 type sliceRange struct{ from, to int }
 
-// sliceResult is one dispatch outcome.
+// sliceResult is one dispatch outcome: the slice's Y1 values per block.
 type sliceResult struct {
 	m   *member
 	s   sliceRange
-	y1  []float64
+	y1  [][]float64
 	err error
 }
 
-// RunBlocks implements core.BlockRunner: every type-B block is scattered
-// across the live workers, longest first, with the request's wall-clock
-// occupancy spread over the slices proportionally to their path share. When
-// no workers are registered — or a block carries a live scenario source
-// that cannot ship — the whole request runs on the in-process grid instead,
-// with semantics identical to an unclustered deployer.
+// RunBlocks implements core.BlockRunner: the type-B blocks are grouped into
+// the walks they can share (eeb.GroupWalks — one group for a simulation's
+// blocks), and each group's outer range is scattered across the live
+// workers as job slices, every slice carrying all the group's blocks, with
+// the request's wall-clock occupancy spread over the slices proportionally
+// to their path share. When no workers are registered — or a block carries
+// a live scenario source that cannot ship — the whole request runs on the
+// in-process grid instead, with semantics identical to an unclustered
+// deployer.
 func (c *Coordinator) RunBlocks(ctx context.Context, req core.BlockRunRequest) (map[string]*alm.Result, error) {
 	for _, b := range req.Blocks {
 		if err := b.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	typeB := eeb.TypeB(req.Blocks)
-	ordered := make([]*eeb.Block, len(typeB))
-	copy(ordered, typeB)
-	eeb.SortByComplexity(ordered)
+	groups := eeb.GroupWalks(req.Blocks)
 
 	shippable := true
 	totalPaths := 0
-	for _, b := range ordered {
-		totalPaths += b.Outer
-		if b.Scenarios != nil && b.ScenarioRef == nil {
-			shippable = false
+	for _, group := range groups {
+		for _, b := range group {
+			totalPaths += b.Outer
+			if b.Scenarios != nil && b.ScenarioRef == nil {
+				shippable = false
+			}
 		}
 	}
 	if !shippable || len(c.live()) == 0 {
-		return c.runLocal(ctx, req, ordered)
+		return c.runLocal(ctx, req)
 	}
 	c.jobsRun.Add(1)
 
-	// Progress mirrors grid.Master: per-block Done counters, the hook
-	// serialised, and — because a slice reports only on success — naturally
-	// idempotent across worker loss and re-slicing.
+	// Progress mirrors grid.Master: per-block Done counters, one event per
+	// block per completed path of the walk, the hook serialised, and —
+	// because a slice reports only on success — naturally idempotent across
+	// worker loss and re-slicing.
 	var progressMu sync.Mutex
-	done := make(map[string]int, len(ordered))
-	onPath := func(b *eeb.Block) {
-		c.pathsDone.Add(1)
+	done := make(map[string]int)
+	onPath := func(group []*eeb.Block) {
+		c.pathsDone.Add(int64(len(group)))
 		if req.OnProgress == nil {
 			return
 		}
 		progressMu.Lock()
-		done[b.ID]++
-		req.OnProgress(grid.Progress{BlockID: b.ID, Done: done[b.ID], Total: b.Outer})
+		for _, b := range group {
+			done[b.ID]++
+			req.OnProgress(grid.Progress{BlockID: b.ID, Done: done[b.ID], Total: b.Outer})
+		}
 		progressMu.Unlock()
 	}
 
-	results := make(map[string]*alm.Result, len(ordered))
-	for _, b := range ordered {
-		y1, err := c.runBlock(ctx, b, req, totalPaths, onPath)
+	results := make(map[string]*alm.Result)
+	for _, group := range groups {
+		// The coordinator's own valuer of the group: assembles the gathered
+		// values, and walks whatever ranges no worker is left to take.
+		job, err := alm.NewJobValuer(group, req.Seed)
 		if err != nil {
 			return nil, err
 		}
-		v, err := alm.NewValuer(b, req.Seed)
+		y1, err := c.runGroup(ctx, job, req, totalPaths, onPath)
 		if err != nil {
 			return nil, err
 		}
-		res, err := v.Assemble(y1)
+		assembled, err := job.Assemble(y1)
 		if err != nil {
 			return nil, err
 		}
-		results[b.ID] = res
+		for bi, b := range group {
+			results[b.ID] = assembled[bi]
+		}
 	}
 	return results, nil
 }
 
 // runLocal is the degraded path: the in-process grid plus the full local
 // pace sleep, exactly what an unclustered RunSimulation does.
-func (c *Coordinator) runLocal(ctx context.Context, req core.BlockRunRequest, _ []*eeb.Block) (map[string]*alm.Result, error) {
+func (c *Coordinator) runLocal(ctx context.Context, req core.BlockRunRequest) (map[string]*alm.Result, error) {
 	c.localFallbacks.Add(1)
 	if req.PaceSeconds > 0 {
 		timer := time.NewTimer(time.Duration(req.PaceSeconds * float64(time.Second)))
@@ -345,40 +354,53 @@ func (c *Coordinator) runLocal(ctx context.Context, req core.BlockRunRequest, _ 
 	return master.Run(ctx, req.Blocks)
 }
 
-// runBlock scatters one block's outer range over the live workers and
-// gathers the Y1 values. Worker loss mid-block re-slices the lost range
-// onto the survivors; if the whole cluster is lost the remaining ranges run
-// locally — either way the gathered values are bit-identical, because every
-// path is a deterministic function of (seed, index).
-func (c *Coordinator) runBlock(ctx context.Context, b *eeb.Block, req core.BlockRunRequest, totalPaths int, onPath func(*eeb.Block)) ([]float64, error) {
-	wire, err := encodeBlock(b)
-	if err != nil {
-		return nil, err
+// runGroup scatters the outer range of one walk group over the live workers
+// and gathers the Y1 values, one slice per block. Worker loss mid-run
+// re-slices the lost range onto the survivors; if the whole cluster is lost
+// the remaining ranges run locally — either way the gathered values are
+// bit-identical, because every path is a deterministic function of (seed,
+// index).
+func (c *Coordinator) runGroup(ctx context.Context, job *alm.JobValuer, req core.BlockRunRequest, totalPaths int, onPath func([]*eeb.Block)) ([][]float64, error) {
+	group, outer := job.Blocks(), job.Outer()
+	wire := make([]blockWire, len(group))
+	for bi, b := range group {
+		var err error
+		if wire[bi], err = encodeBlock(b); err != nil {
+			return nil, err
+		}
 	}
+	y1 := make([][]float64, len(group))
+	for bi := range y1 {
+		y1[bi] = make([]float64, outer)
+	}
+	store := func(s sliceRange, part [][]float64) {
+		for bi := range y1 {
+			copy(y1[bi][s.from:s.to], part[bi])
+		}
+	}
+	// paceFor is a slice's share of the request's occupancy: its paths,
+	// counted once per block, over the request's.
+	paceFor := func(s sliceRange) float64 {
+		if req.PaceSeconds <= 0 || totalPaths <= 0 {
+			return 0
+		}
+		return req.PaceSeconds * float64((s.to-s.from)*len(group)) / float64(totalPaths)
+	}
+
 	live := c.live()
-	if len(live) == 0 {
-		return c.runRangeLocal(ctx, b, req, sliceRange{0, b.Outer}, totalPaths, onPath)
-	}
 	peers := make([]string, len(live))
 	totalSlots := 0
 	for i, m := range live {
 		peers[i] = m.addr
 		totalSlots += m.slots
 	}
-	pending := splitRange(sliceRange{0, b.Outer}, totalSlots)
+	pending := splitRange(sliceRange{0, outer}, totalSlots)
 
-	y1 := make([]float64, b.Outer)
 	completed := 0
 	inflight := make(map[*member]int)
 	outstanding := 0
 	resCh := make(chan sliceResult)
 
-	paceFor := func(s sliceRange) float64 {
-		if req.PaceSeconds <= 0 || totalPaths <= 0 {
-			return 0
-		}
-		return req.PaceSeconds * float64(s.to-s.from) / float64(totalPaths)
-	}
 	dispatch := func(m *member, s sliceRange) {
 		c.slicesDispatched.Add(1)
 		inflight[m]++
@@ -386,16 +408,15 @@ func (c *Coordinator) runBlock(ctx context.Context, b *eeb.Block, req core.Block
 		go func() {
 			var resp executeResponse
 			err := postJSON(ctx, c.client, "http://"+m.addr+"/v1/execute", executeRequest{
-				Block:         wire,
+				Blocks:        wire,
 				From:          s.from,
 				To:            s.to,
 				Seed:          req.Seed,
 				PaceSeconds:   paceFor(s),
 				ScenarioPeers: peers,
 			}, &resp)
-			if err == nil && len(resp.Y1) != s.to-s.from {
-				err = fmt.Errorf("cluster: worker %s returned %d values for slice [%d,%d)",
-					m.name, len(resp.Y1), s.from, s.to)
+			if err == nil {
+				err = checkSliceShape(resp.Y1, len(group), s, m.name)
 			}
 			resCh <- sliceResult{m: m, s: s, y1: resp.Y1, err: err}
 		}()
@@ -404,13 +425,12 @@ func (c *Coordinator) runBlock(ctx context.Context, b *eeb.Block, req core.Block
 	// none blocks forever on the unbuffered channel.
 	drain := func() {
 		for outstanding > 0 {
-			r := <-resCh
+			<-resCh
 			outstanding--
-			_ = r
 		}
 	}
 
-	for completed < b.Outer {
+	for completed < outer {
 		// Fill every free slot of every live worker.
 		for len(pending) > 0 {
 			var target *member
@@ -429,15 +449,15 @@ func (c *Coordinator) runBlock(ctx context.Context, b *eeb.Block, req core.Block
 		}
 		if outstanding == 0 {
 			if len(pending) == 0 {
-				return nil, fmt.Errorf("cluster: block %s stalled at %d of %d paths", b.ID, completed, b.Outer)
+				return nil, fmt.Errorf("cluster: walk of %s stalled at %d of %d paths", group[0].ID, completed, outer)
 			}
 			// Every worker is gone: finish the remaining ranges locally.
 			for _, s := range pending {
-				part, err := c.runRangeLocal(ctx, b, req, s, totalPaths, onPath)
+				part, err := c.runRangeLocal(ctx, job, s, paceFor(s), onPath)
 				if err != nil {
 					return nil, err
 				}
-				copy(y1[s.from:s.to], part[s.from:s.to])
+				store(s, part)
 				completed += s.to - s.from
 			}
 			pending = nil
@@ -474,10 +494,10 @@ func (c *Coordinator) runBlock(ctx context.Context, b *eeb.Block, req core.Block
 				pending = append(pending, parts...)
 				continue
 			}
-			copy(y1[r.s.from:r.s.to], r.y1)
+			store(r.s, r.y1)
 			completed += r.s.to - r.s.from
 			for i := r.s.from; i < r.s.to; i++ {
-				onPath(b)
+				onPath(group)
 			}
 		case <-ctx.Done():
 			drain()
@@ -487,15 +507,28 @@ func (c *Coordinator) runBlock(ctx context.Context, b *eeb.Block, req core.Block
 	return y1, nil
 }
 
-// runRangeLocal executes one outer range on the in-process engine — the
-// zero-survivors fallback. The block still holds its live scenario source
+// checkSliceShape rejects a worker reply that does not hold one value per
+// block per path of the slice.
+func checkSliceShape(y1 [][]float64, blocks int, s sliceRange, worker string) error {
+	if len(y1) != blocks {
+		return fmt.Errorf("cluster: worker %s returned values for %d blocks, want %d", worker, len(y1), blocks)
+	}
+	for _, part := range y1 {
+		if len(part) != s.to-s.from {
+			return fmt.Errorf("cluster: worker %s returned %d values for slice [%d,%d)",
+				worker, len(part), s.from, s.to)
+		}
+	}
+	return nil
+}
+
+// runRangeLocal walks one outer range on the coordinator's own valuer — the
+// zero-survivors fallback. The blocks still hold their live scenario source
 // (RunBlocks receives the originals), so the values match the remote ones
 // bit for bit. The range's pace share is held first, like a remote slice.
-// The returned slice is full-length with only [from,to) populated.
-func (c *Coordinator) runRangeLocal(ctx context.Context, b *eeb.Block, req core.BlockRunRequest, s sliceRange, totalPaths int, onPath func(*eeb.Block)) ([]float64, error) {
-	if req.PaceSeconds > 0 && totalPaths > 0 {
-		share := req.PaceSeconds * float64(s.to-s.from) / float64(totalPaths)
-		timer := time.NewTimer(time.Duration(share * float64(time.Second)))
+func (c *Coordinator) runRangeLocal(ctx context.Context, job *alm.JobValuer, s sliceRange, paceSeconds float64, onPath func([]*eeb.Block)) ([][]float64, error) {
+	if paceSeconds > 0 {
+		timer := time.NewTimer(time.Duration(paceSeconds * float64(time.Second)))
 		select {
 		case <-ctx.Done():
 			timer.Stop()
@@ -504,14 +537,7 @@ func (c *Coordinator) runRangeLocal(ctx context.Context, b *eeb.Block, req core.
 		}
 	}
 	c.localFallbacks.Add(1)
-	eng := grid.NewEngine(req.Seed)
-	part, err := eng.ExecuteSlice(ctx, b, s.from, s.to, func() { onPath(b) })
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, b.Outer)
-	copy(out[s.from:s.to], part)
-	return out, nil
+	return job.ValueRange(ctx, s.from, s.to, func() { onPath(job.Blocks()) })
 }
 
 // splitRange cuts a range into n near-equal contiguous pieces (fewer when

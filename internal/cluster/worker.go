@@ -13,7 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"disarcloud/internal/grid"
+	"disarcloud/internal/alm"
 	"disarcloud/internal/stochastic"
 )
 
@@ -160,32 +160,36 @@ func (w *Worker) handler() http.Handler {
 	return mux
 }
 
-// handleExecute runs one shipped slice. The slice's pace share is held
-// CONCURRENTLY with the computation: the timer starts before the valuation
-// and the handler waits out the remainder afterwards, so the reported
-// wall-clock occupancy is max(compute, pace) exactly like a real remote
-// cluster whose execution time the pace emulates.
+// handleExecute runs one shipped slice: the outer range of every block of
+// the request, in one walk. The slice's pace share is held CONCURRENTLY with
+// the computation: the timer starts before the valuation and the handler
+// waits out the remainder afterwards, so the reported wall-clock occupancy
+// is max(compute, pace) exactly like a real remote cluster whose execution
+// time the pace emulates.
 func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	var req executeRequest
 	if !decodeInto(rw, r, &req) {
 		return
 	}
-	b, err := req.Block.decode()
+	blocks, err := req.decodeBlocks()
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-	if req.From < 0 || req.To > b.Outer || req.From >= req.To {
-		writeError(rw, http.StatusBadRequest,
-			fmt.Errorf("cluster: slice [%d,%d) outside block %s outer range %d", req.From, req.To, b.ID, b.Outer))
-		return
-	}
-	src, err := resolveScenarios(w.cache, b.ScenarioRef, req.ScenarioPeers, w.Addr(), w.fetchScenario)
+	// One walk means one scenario recipe: resolve it once for the group.
+	src, err := resolveScenarios(w.cache, blocks[0].ScenarioRef, req.ScenarioPeers, w.Addr(), w.fetchScenario)
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-	b.Scenarios = src
+	for _, b := range blocks {
+		b.Scenarios = src
+	}
+	job, err := alm.NewJobValuer(blocks, req.Seed)
+	if err != nil {
+		writeError(rw, http.StatusBadRequest, err)
+		return
+	}
 
 	var pace <-chan time.Time
 	if req.PaceSeconds > 0 {
@@ -193,8 +197,7 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 		defer timer.Stop()
 		pace = timer.C
 	}
-	eng := grid.NewEngine(req.Seed)
-	y1, err := eng.ExecuteSlice(r.Context(), b, req.From, req.To, nil)
+	y1, err := job.ValueRange(r.Context(), req.From, req.To, nil)
 	if err != nil {
 		writeError(rw, http.StatusInternalServerError, err)
 		return
@@ -208,7 +211,7 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.slicesRun.Add(1)
-	w.pathsRun.Add(int64(req.To - req.From))
+	w.pathsRun.Add(int64((req.To - req.From) * len(blocks)))
 	writeJSON(rw, http.StatusOK, executeResponse{Y1: y1})
 }
 

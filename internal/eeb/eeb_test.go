@@ -303,3 +303,115 @@ func TestSplitPortfolioStampsBiometricAndScenarios(t *testing.T) {
 		}
 	}
 }
+
+// sliceSource is a scenario source of a non-comparable dynamic type: == on
+// two of them would panic.
+type sliceSource struct{ paths []*stochastic.Scenario }
+
+func (s sliceSource) Outer(i int) *stochastic.Scenario { return s.paths[i] }
+func (s sliceSource) Inner(i, j int, outer *stochastic.Scenario, year float64) *stochastic.Scenario {
+	return s.paths[i]
+}
+
+func TestGroupWalks(t *testing.T) {
+	split := func(name string, mutate func(*SplitSpec, *fund.Config, *stochastic.Config)) []*Block {
+		t.Helper()
+		// Built from scratch every time: grouping must not lean on shared pointers.
+		market := testMarket(20)
+		f := fund.TypicalItalianFund(4, market)
+		spec := SplitSpec{MaxContractsPerBlock: 10, Outer: 50, Inner: 5}
+		if mutate != nil {
+			mutate(&spec, &f, &market)
+		}
+		p := testPortfolio(t, 30)
+		p.Name = name
+		blocks, err := SplitPortfolio(p, f, market, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blocks
+	}
+	gen, err := stochastic.NewGenerator(testMarket(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	setA, setB := stochastic.NewSet(gen, 1), stochastic.NewSet(gen, 1)
+	ref := func(seed uint64) *stochastic.Ref {
+		return &stochastic.Ref{Market: testMarket(20), Seed: seed, Memoize: true}
+	}
+
+	base := split("base", nil)
+	ids := func(group []*Block) string {
+		var out []string
+		for _, b := range group {
+			out = append(out, b.ID)
+		}
+		return strings.Join(out, " ")
+	}
+	if groups := GroupWalks(base); len(groups) != 1 || ids(groups[0]) != "base/B1 base/B2 base/B3" {
+		t.Fatalf("one split grouped into %d walks", len(groups))
+	}
+
+	cases := []struct {
+		name   string
+		other  []*Block
+		shared bool
+	}{
+		{"equal configs built apart", split("twin", nil), true},
+		{"stressed biometric basis", split("bio", func(s *SplitSpec, _ *fund.Config, _ *stochastic.Config) {
+			s.Biometric = Biometric{MortalityFactor: 1.15}
+		}), true},
+		{"other outer size", split("outer", func(s *SplitSpec, _ *fund.Config, _ *stochastic.Config) { s.Outer = 51 }), false},
+		{"other inner size", split("inner", func(s *SplitSpec, _ *fund.Config, _ *stochastic.Config) { s.Inner = 6 }), false},
+		{"other fund", split("fund", func(_ *SplitSpec, f *fund.Config, _ *stochastic.Config) {
+			f.Assets[0].Weight += 0.01
+			f.Assets[1].Weight -= 0.01
+		}), false},
+		{"other market", split("market", func(_ *SplitSpec, _ *fund.Config, m *stochastic.Config) { m.Equities[0].Sigma = 0.2 }), false},
+		{"live source against none", split("live", func(s *SplitSpec, _ *fund.Config, _ *stochastic.Config) { s.Scenarios = setA }), false},
+		{"scenario ref against none", split("ref", func(s *SplitSpec, _ *fund.Config, _ *stochastic.Config) { s.ScenarioRef = ref(9) }), false},
+	}
+	for _, tc := range cases {
+		groups := GroupWalks(append(append([]*Block{}, base...), tc.other...))
+		if want := map[bool]int{true: 1, false: 2}[tc.shared]; len(groups) != want {
+			t.Errorf("%s: %d walks, want %d", tc.name, len(groups), want)
+		}
+		total := 0
+		for _, g := range groups {
+			total += len(g)
+			for _, b := range g {
+				if b.Type != ALMValuation {
+					t.Errorf("%s: type-%s block %s in a walk", tc.name, b.Type, b.ID)
+				}
+			}
+		}
+		if total != 6 {
+			t.Errorf("%s: %d blocks across the walks, want 6", tc.name, total)
+		}
+	}
+
+	withSource := func(name string, src stochastic.Source, r *stochastic.Ref) *Block {
+		b := *TypeB(split(name, nil))[0]
+		b.Scenarios, b.ScenarioRef = src, r
+		return &b
+	}
+	pairs := []struct {
+		name   string
+		a, b   *Block
+		shared bool
+	}{
+		{"the same live set", withSource("a", setA, nil), withSource("b", setA, nil), true},
+		{"two live sets of one recipe", withSource("a", setA, nil), withSource("b", setB, nil), false},
+		{"equal refs built apart", withSource("a", setA, ref(9)), withSource("b", setA, ref(9)), true},
+		{"refs of different seeds", withSource("a", setA, ref(9)), withSource("b", setA, ref(10)), false},
+		{"non-comparable source type", withSource("a", sliceSource{}, nil), withSource("b", sliceSource{}, nil), false},
+	}
+	for _, tc := range pairs {
+		if got := SameWalk(tc.a, tc.b); got != tc.shared {
+			t.Errorf("%s: SameWalk = %v, want %v", tc.name, got, tc.shared)
+		}
+	}
+	if typeA := base[0]; SameWalk(typeA, typeA) {
+		t.Error("a type-A block shares a walk")
+	}
+}

@@ -2,6 +2,7 @@ package eeb
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 
 	"disarcloud/internal/fund"
@@ -93,6 +94,51 @@ func TypeB(blocks []*Block) []*Block {
 		}
 	}
 	return out
+}
+
+// SameWalk reports whether two type-B blocks may be valued in one walk of
+// the nested Monte Carlo: the walk generates each scenario and prices the
+// fund along it once for all of them, so they must agree on everything that
+// work depends on — fund, market model, scenario source and the two sample
+// sizes. Portfolio and biometric basis are per block and free to differ.
+// Configurations compare by value, so blocks built apart from equal inputs
+// still share a walk; live scenario sources compare by identity.
+func SameWalk(a, b *Block) bool {
+	return a.Type == ALMValuation && b.Type == ALMValuation &&
+		a.Outer == b.Outer && a.Inner == b.Inner &&
+		sameSource(a.Scenarios, b.Scenarios) &&
+		reflect.DeepEqual(a.ScenarioRef, b.ScenarioRef) &&
+		reflect.DeepEqual(a.Fund, b.Fund) &&
+		reflect.DeepEqual(a.Market, b.Market)
+}
+
+// sameSource is interface identity that tolerates dynamic types == would
+// panic on: sources of a non-comparable type are never the same.
+func sameSource(a, b stochastic.Source) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	return va.Type() == vb.Type() && va.Comparable() && a == b
+}
+
+// GroupWalks partitions the type-B blocks of a split into the groups that
+// walk together (SameWalk), keeping the input order of the groups' first
+// blocks and of the blocks inside each group. The blocks of one job form a
+// single group; an arbitrary block list may form several.
+func GroupWalks(blocks []*Block) [][]*Block {
+	var groups [][]*Block
+next:
+	for _, b := range TypeB(blocks) {
+		for g := range groups {
+			if SameWalk(groups[g][0], b) {
+				groups[g] = append(groups[g], b)
+				continue next
+			}
+		}
+		groups = append(groups, []*Block{b})
+	}
+	return groups
 }
 
 // SortByComplexity orders blocks by decreasing complexity estimate, the

@@ -161,7 +161,8 @@ func (f *Fund) MarketReturns(s *stochastic.Scenario, years int) []float64 {
 }
 
 // MarketReturnsInto is MarketReturns writing into caller-owned buffers: out
-// must hold years values and idx years+1 grid indices. It is the valuation
+// must hold years values and idx years+1 grid indices; on return idx[t] is
+// the scenario's grid index of year t, for t = 0..years. It is the valuation
 // hot loop's entry point — called once per inner path — so it walks the
 // assets in the outer loop and carries the per-asset state that consecutive
 // years share: the yield at year t-1 IS the yield computed for year t-2's
@@ -279,8 +280,11 @@ func (f *Fund) Returns(s *stochastic.Scenario, years int) []float64 {
 }
 
 // ReturnsInto is Returns writing into caller-owned buffers: out and market
-// must hold years values each, idx years+1 indices. The returned slice is
-// the credited-return path (one of the two buffers).
+// must hold years values each, idx years+1 indices (filled as by
+// MarketReturnsInto). The returned slice is the credited-return path (one of
+// the two buffers). Year t's return does not depend on years — the market
+// return is computed year by year and the smoothing buffer is carried left to
+// right — so a longer walk extends a shorter one without changing it.
 func (f *Fund) ReturnsInto(s *stochastic.Scenario, years int, out, market []float64, idx []int) []float64 {
 	market = f.MarketReturnsInto(s, years, market, idx)
 	if f.cfg.SmoothingFraction == 0 {

@@ -336,5 +336,23 @@ func TestMarketReturnsIntoMatchesReference(t *testing.T) {
 				t.Fatalf("credited return %d drifted between Returns and ReturnsInto", k)
 			}
 		}
+		// A longer walk extends a shorter one without changing it (the job
+		// walk prices the widest block's horizon once for every block), and
+		// leaves the years' grid indices behind for the discount lookup.
+		for _, short := range []int{0, 1, 12} {
+			idx := make([]int, short+1)
+			prefix := f.ReturnsInto(s, short, make([]float64, short), make([]float64, short), idx)
+			for k := range prefix {
+				if prefix[k] != book[k] {
+					t.Fatalf("rep %d: year %d of a %d-year walk is %v, of the %d-year walk %v",
+						rep, k+1, short, prefix[k], years, book[k])
+				}
+			}
+			for yr, i := range idx {
+				if i != s.IndexOfYear(float64(yr)) {
+					t.Fatalf("idx[%d] = %d after the walk, want grid index %d", yr, i, s.IndexOfYear(float64(yr)))
+				}
+			}
+		}
 	}
 }

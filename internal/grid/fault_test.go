@@ -6,21 +6,21 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"disarcloud/internal/eeb"
+	"disarcloud/internal/alm"
 )
 
-// flakyExecutor fails the first `failures` ExecuteSlice calls across all
+// flakyExecutor fails the first `failures` ExecuteRange calls across all
 // workers, then behaves like the real engine — a transient-fault model.
 type flakyExecutor struct {
 	inner    *Engine
 	failures *atomic.Int64
 }
 
-func (f *flakyExecutor) ExecuteSlice(ctx context.Context, b *eeb.Block, from, to int, onDone func()) ([]float64, error) {
+func (f *flakyExecutor) ExecuteRange(ctx context.Context, job *alm.JobValuer, from, to int, onDone func()) ([][]float64, error) {
 	if f.failures.Add(-1) >= 0 {
 		return nil, errors.New("injected transient fault")
 	}
-	return f.inner.ExecuteSlice(ctx, b, from, to, onDone)
+	return f.inner.ExecuteRange(ctx, job, from, to, onDone)
 }
 
 func TestTransientFaultsAbsorbedByRetry(t *testing.T) {
@@ -68,19 +68,19 @@ type midSliceFlakyExecutor struct {
 	failures *atomic.Int64
 }
 
-func (f *midSliceFlakyExecutor) ExecuteSlice(ctx context.Context, b *eeb.Block, from, to int, onDone func()) ([]float64, error) {
+func (f *midSliceFlakyExecutor) ExecuteRange(ctx context.Context, job *alm.JobValuer, from, to int, onDone func()) ([][]float64, error) {
 	if f.failures.Add(-1) >= 0 {
 		// Walk a real prefix of the slice, reporting per-path progress, then
 		// die "mid-slice" with the work discarded.
 		prefix := (to - from + 1) / 2
 		if prefix > 0 {
-			if _, err := f.inner.ExecuteSlice(ctx, b, from, from+prefix, onDone); err != nil {
+			if _, err := f.inner.ExecuteRange(ctx, job, from, from+prefix, onDone); err != nil {
 				return nil, err
 			}
 		}
 		return nil, errors.New("injected mid-slice fault")
 	}
-	return f.inner.ExecuteSlice(ctx, b, from, to, onDone)
+	return f.inner.ExecuteRange(ctx, job, from, to, onDone)
 }
 
 func TestRetriedSliceDoesNotOvercountProgress(t *testing.T) {
@@ -128,8 +128,8 @@ func TestRetriedSliceDoesNotOvercountProgress(t *testing.T) {
 	}
 	// Every block must have reported EXACTLY its outer-path total: each path
 	// once, no replays from the failed attempts' completed prefixes.
-	if len(perBlock) == 0 {
-		t.Fatal("no progress events observed")
+	if len(perBlock) != 3 {
+		t.Fatalf("progress events for %d blocks of the three-block job", len(perBlock))
 	}
 	for id, n := range perBlock {
 		if n != totals[id] {

@@ -7,6 +7,14 @@
 // with the mpi package, following the data-separation pattern of Section
 // III: each node computes local values over a disjoint range of outer
 // scenarios and the master combines them into the global result.
+//
+// The unit of scatter is an outer range of a job, not of a block: the type-B
+// blocks of a simulation share fund, market, scenarios and sample sizes, so
+// Master.Run groups them (eeb.GroupWalks), builds one alm.JobValuer per
+// group, and hands every rank one [from, to) that it walks for all the
+// group's blocks at once — each scenario generated, and the fund priced
+// along it, once. RunSequential deliberately stays one block at a time: it
+// is the independent reference the fused run is checked against.
 package grid
 
 import (
@@ -70,13 +78,11 @@ func (e *Engine) ExecuteTypeA(b *eeb.Block) ([]*actuarial.DecrementTable, error)
 	return out, nil
 }
 
-// ExecuteSlice runs the outer-path range [from, to) of a type-B block,
+// ExecuteSlice runs the outer-path range [from, to) of one type-B block,
 // invoking onDone after each completed path when non-nil. The result is the
-// local Y1 values, ready to be gathered by the master. The valuer walks the
-// range through its batched, pool-buffered hot path (panels drawn from the
-// block's Buffers pool, or the shared default). Cancellation is checked
-// between outer paths: a cancelled ctx aborts the slice and returns
-// ctx.Err().
+// local Y1 values. It is the single-block form of ExecuteRange, for callers
+// holding one block rather than a job. Cancellation is checked between outer
+// paths: a cancelled ctx aborts the slice and returns ctx.Err().
 func (e *Engine) ExecuteSlice(ctx context.Context, b *eeb.Block, from, to int, onDone func()) ([]float64, error) {
 	v, err := alm.NewValuer(b, e.seed)
 	if err != nil {
@@ -85,10 +91,20 @@ func (e *Engine) ExecuteSlice(ctx context.Context, b *eeb.Block, from, to int, o
 	return v.ValueRange(ctx, from, to, onDone)
 }
 
-// executor abstracts the DiEng slice execution so fault-injection tests can
+// ExecuteRange runs the outer-path range [from, to) of a job — every block
+// of the valuer in one walk — invoking onDone after each completed path when
+// non-nil. The result is the local Y1 values per block, ready to be gathered
+// by the master. The valuer walks the range through its batched,
+// pool-buffered hot path (panels drawn from the blocks' Buffers pool, or the
+// shared default). Cancellation is checked between outer paths.
+func (e *Engine) ExecuteRange(ctx context.Context, job *alm.JobValuer, from, to int, onDone func()) ([][]float64, error) {
+	return job.ValueRange(ctx, from, to, onDone)
+}
+
+// executor abstracts the DiEng range execution so fault-injection tests can
 // wrap it with transient failures.
 type executor interface {
-	ExecuteSlice(ctx context.Context, b *eeb.Block, from, to int, onDone func()) ([]float64, error)
+	ExecuteRange(ctx context.Context, job *alm.JobValuer, from, to int, onDone func()) ([][]float64, error)
 }
 
 var _ executor = (*Engine)(nil)
@@ -127,11 +143,11 @@ func (m *Master) executor() executor {
 // Progress is retry-idempotent: a failed attempt has already invoked onDone
 // for every path it completed before erroring, and the retry recomputes
 // those same paths (the valuation is deterministic per index). Replaying
-// their onDone calls would push the block's Done count past its outer-path
-// total, so a high-water wrapper reports each path position at most once
-// across all attempts — only completions beyond the furthest point any
-// earlier attempt reached reach the caller's callback.
-func (m *Master) executeWithRetry(ctx context.Context, eng executor, b *eeb.Block, from, to int, onDone func()) ([]float64, error) {
+// their onDone calls would push the blocks' Done counts past their
+// outer-path total, so a high-water wrapper reports each path position at
+// most once across all attempts — only completions beyond the furthest
+// point any earlier attempt reached reach the caller's callback.
+func (m *Master) executeWithRetry(ctx context.Context, eng executor, job *alm.JobValuer, from, to int, onDone func()) ([][]float64, error) {
 	wrapped := onDone
 	reported := 0
 	attemptDone := 0
@@ -147,7 +163,7 @@ func (m *Master) executeWithRetry(ctx context.Context, eng executor, b *eeb.Bloc
 	var lastErr error
 	for attempt := 0; attempt <= m.MaxRetries; attempt++ {
 		attemptDone = 0
-		local, err := eng.ExecuteSlice(ctx, b, from, to, wrapped)
+		local, err := eng.ExecuteRange(ctx, job, from, to, wrapped)
 		if err == nil {
 			return local, nil
 		}
@@ -156,18 +172,19 @@ func (m *Master) executeWithRetry(ctx context.Context, eng executor, b *eeb.Bloc
 		}
 		lastErr = err
 	}
-	return nil, fmt.Errorf("grid: slice [%d,%d) of %s failed after %d attempts: %w",
-		from, to, b.ID, m.MaxRetries+1, lastErr)
+	return nil, fmt.Errorf("grid: slice [%d,%d) of the walk of %s failed after %d attempts: %w",
+		from, to, job.Blocks()[0].ID, m.MaxRetries+1, lastErr)
 }
 
 // Run executes every type-B block in blocks across the master's workers and
-// returns the assembled results keyed by block ID. Blocks are processed in
-// decreasing complexity order (longest first); within a block the outer
-// scenarios are scattered evenly across all ranks. Type-A blocks in the
-// input are executed locally first (they are orders of magnitude cheaper),
-// and their presence is required only insofar as the portfolio needs them —
-// the valuer recomputes decrements internally, so A-blocks are validated and
-// skipped in the distribution.
+// returns the assembled results keyed by block ID. The unit of scatter is an
+// outer range of a job, not of a block: the blocks are grouped into the
+// walks they can share (eeb.GroupWalks — the blocks of one simulation form
+// one group), each group gets one alm.JobValuer built once and shared by
+// the ranks, every rank walks one [from, to) of it for all the group's
+// blocks at once, and the master gathers per block. Type-A blocks in the
+// input are validated and skipped: the valuer computes the decrements it
+// needs itself.
 //
 // Cancelling ctx stops every rank between outer paths; the ranks stay in
 // lockstep through the collectives and Run returns ctx.Err().
@@ -180,14 +197,19 @@ func (m *Master) Run(ctx context.Context, blocks []*eeb.Block) (map[string]*alm.
 			return nil, err
 		}
 	}
-	typeB := eeb.TypeB(blocks)
-	ordered := make([]*eeb.Block, len(typeB))
-	copy(ordered, typeB)
-	eeb.SortByComplexity(ordered)
+	groups := eeb.GroupWalks(blocks)
+	jobs := make([]*alm.JobValuer, len(groups))
+	for g, group := range groups {
+		job, err := alm.NewJobValuer(group, m.Seed)
+		if err != nil {
+			return nil, err
+		}
+		jobs[g] = job
+	}
 
-	results := make(map[string]*alm.Result, len(ordered))
+	results := make(map[string]*alm.Result)
 	var progressMu sync.Mutex
-	done := make(map[string]int, len(ordered))
+	done := make(map[string]int)
 
 	world := mpi.NewWorld(m.Workers)
 	err := world.Run(func(c *mpi.Comm) error {
@@ -197,57 +219,67 @@ func (m *Master) Run(ctx context.Context, blocks []*eeb.Block) (map[string]*alm.
 		// deadlock the healthy ranks. The error is returned after the
 		// lockstep loop completes.
 		var rankErr error
-		for _, b := range ordered {
-			from, to := mpi.SplitRange(b.Outer, c.Size(), c.Rank())
+		for _, job := range jobs {
+			group, outer := job.Blocks(), job.Outer()
+			from, to := mpi.SplitRange(outer, c.Size(), c.Rank())
 			var onDone func()
 			if m.OnProgress != nil {
-				blockID, total := b.ID, b.Outer
 				onDone = func() {
-					// The hook runs under the mutex so calls are serialised
-					// across ranks, as the OnProgress contract promises; keep
-					// user hooks fast.
+					// One completed path of the walk is one completed path of
+					// every block in it. The hook runs under the mutex so
+					// calls are serialised across ranks, as the OnProgress
+					// contract promises; keep user hooks fast.
 					progressMu.Lock()
-					done[blockID]++
-					m.OnProgress(Progress{BlockID: blockID, Done: done[blockID], Total: total})
+					for _, b := range group {
+						done[b.ID]++
+						m.OnProgress(Progress{BlockID: b.ID, Done: done[b.ID], Total: outer})
+					}
 					progressMu.Unlock()
 				}
 			}
-			var local []float64
+			var local [][]float64
 			if rankErr == nil {
 				var err error
-				local, err = m.executeWithRetry(ctx, engine, b, from, to, onDone)
+				local, err = m.executeWithRetry(ctx, engine, job, from, to, onDone)
 				if err != nil {
 					rankErr = err
 					local = nil
 				}
 			}
-			parts, err := c.Gather(0, local)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 && rankErr == nil {
-				y1 := make([]float64, 0, b.Outer)
-				for _, p := range parts {
-					y1 = append(y1, p...)
+			y1 := make([][]float64, len(group))
+			for bi, b := range group {
+				var part []float64
+				if local != nil {
+					part = local[bi]
 				}
-				if len(y1) != b.Outer {
+				parts, err := c.Gather(0, part)
+				if err != nil {
+					return err
+				}
+				if c.Rank() != 0 || rankErr != nil {
+					continue
+				}
+				y1[bi] = make([]float64, 0, outer)
+				for _, p := range parts {
+					y1[bi] = append(y1[bi], p...)
+				}
+				if len(y1[bi]) != outer {
 					// Some rank contributed a failure marker; surface it
 					// from the master side too.
 					rankErr = fmt.Errorf("grid: block %s gathered %d of %d outer values (worker failure)",
-						b.ID, len(y1), b.Outer)
-				} else {
-					v, err := alm.NewValuer(b, m.Seed)
-					if err != nil {
-						return err
-					}
-					res, err := v.Assemble(y1)
-					if err != nil {
-						return err
-					}
-					results[b.ID] = res
+						b.ID, len(y1[bi]), outer)
 				}
 			}
-			// Keep ranks in lockstep across blocks so the gather origin is
+			if c.Rank() == 0 && rankErr == nil {
+				assembled, err := job.Assemble(y1)
+				if err != nil {
+					return err
+				}
+				for bi, b := range group {
+					results[b.ID] = assembled[bi]
+				}
+			}
+			// Keep ranks in lockstep across jobs so the gather origin is
 			// unambiguous.
 			if err := c.Barrier(); err != nil {
 				return err
@@ -269,8 +301,11 @@ func (m *Master) Run(ctx context.Context, blocks []*eeb.Block) (map[string]*alm.
 }
 
 // RunSequential executes every type-B block on a single computing unit —
-// the baseline the paper's Figure 4 speedups are measured against. The
-// context is checked between blocks.
+// the baseline the paper's Figure 4 speedups are measured against. It is
+// deliberately one block at a time, each through its own single-block
+// valuer: that makes it an independent reference for Run, whose job walk
+// must reproduce these values bit for bit. The context is checked between
+// blocks.
 func RunSequential(ctx context.Context, blocks []*eeb.Block, seed uint64) (map[string]*alm.Result, error) {
 	results := make(map[string]*alm.Result)
 	for _, b := range eeb.TypeB(blocks) {

@@ -25,9 +25,16 @@ func testMarket(horizon int) stochastic.Config {
 	}
 }
 
+// testBlocks is a three-block job: six contracts split two per type-B block,
+// the blocks' MaxTerms (15, 12, 20) all different.
 func testBlocks(t *testing.T) []*eeb.Block {
 	t.Helper()
-	market := testMarket(15)
+	return splitTestPortfolio(t, "grid-test", 30)
+}
+
+func splitTestPortfolio(t *testing.T, name string, outer int) []*eeb.Block {
+	t.Helper()
+	market := testMarket(20)
 	contracts := []policy.Contract{
 		{Kind: policy.Endowment, Age: 45, Gender: actuarial.Male, Term: 10,
 			InsuredSum: 10000, Beta: 0.8, TechnicalRate: 0.02, Count: 50},
@@ -37,12 +44,20 @@ func testBlocks(t *testing.T) []*eeb.Block {
 			InsuredSum: 15000, Beta: 0.9, TechnicalRate: 0.01, Count: 40},
 		{Kind: policy.TermInsurance, Age: 40, Gender: actuarial.Male, Term: 8,
 			InsuredSum: 80000, Beta: 0.8, TechnicalRate: 0.0, Count: 60},
+		{Kind: policy.WholeLife, Age: 50, Gender: actuarial.Female, Term: 20,
+			InsuredSum: 30000, Beta: 0.85, TechnicalRate: 0.005, Count: 35},
+		{Kind: policy.Endowment, Age: 38, Gender: actuarial.Female, Term: 7,
+			InsuredSum: 22000, Beta: 0.75, TechnicalRate: 0.03, Count: 45,
+			Penalty: 0.04, PenaltyYears: 5},
 	}
-	p := &policy.Portfolio{Name: "grid-test", Contracts: contracts}
+	p := &policy.Portfolio{Name: name, Contracts: contracts}
 	blocks, err := eeb.SplitPortfolio(p, fund.TypicalItalianFund(4, market), market,
-		eeb.SplitSpec{MaxContractsPerBlock: 2, Outer: 30, Inner: 4})
+		eeb.SplitSpec{MaxContractsPerBlock: 2, Outer: outer, Inner: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := len(eeb.TypeB(blocks)); n != 3 {
+		t.Fatalf("fixture split into %d type-B blocks, want 3", n)
 	}
 	return blocks
 }
@@ -89,7 +104,12 @@ func TestMasterValidation(t *testing.T) {
 }
 
 func TestProgressMonitoring(t *testing.T) {
-	blocks := testBlocks(t)
+	// Two jobs with different outer sizes in one list: two walks of three
+	// blocks each, every block reporting its own outer total.
+	blocks := append(testBlocks(t), splitTestPortfolio(t, "grid-test-2", 17)...)
+	if n := len(eeb.GroupWalks(blocks)); n != 2 {
+		t.Fatalf("mixed list groups into %d walks, want 2", n)
+	}
 	var events atomic.Int64
 	finals := make(map[string]int)
 	m := &Master{
@@ -97,18 +117,32 @@ func TestProgressMonitoring(t *testing.T) {
 		Seed:    7,
 		OnProgress: func(p Progress) {
 			events.Add(1)
+			if p.Done > p.Total {
+				t.Errorf("block %s: Done %d exceeds Total %d", p.BlockID, p.Done, p.Total)
+			}
 			if p.Done == p.Total {
 				finals[p.BlockID] = p.Total
 			}
 		},
 	}
-	if _, err := m.Run(context.Background(), blocks); err != nil {
+	got, err := m.Run(context.Background(), blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunSequential(context.Background(), blocks, 7)
+	if err != nil {
 		t.Fatal(err)
 	}
 	typeB := eeb.TypeB(blocks)
 	wantEvents := 0
 	for _, b := range typeB {
 		wantEvents += b.Outer
+		if finals[b.ID] != b.Outer {
+			t.Errorf("block %s finished at %d of %d paths", b.ID, finals[b.ID], b.Outer)
+		}
+		if got[b.ID] == nil || got[b.ID].BEL != want[b.ID].BEL || got[b.ID].SCR != want[b.ID].SCR {
+			t.Errorf("block %s: two-walk run differs from the per-block reference", b.ID)
+		}
 	}
 	if got := int(events.Load()); got != wantEvents {
 		t.Fatalf("progress events = %d, want %d", got, wantEvents)

@@ -32,7 +32,9 @@ func BenchmarkProxyValuation(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			v.ValueOuter(i%outer, inner)
+			if _, err := v.ValueOuter(i%outer, inner); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("proxy", func(b *testing.B) {

@@ -104,6 +104,17 @@ func (s *Scenario) Discount(t float64) float64 {
 	return s.discount[s.index(t)]
 }
 
+// DiscountsAt writes the pathwise discount factor at each grid index of idx
+// into out, which must hold len(idx) values, and returns it — Discount for a
+// caller that already knows the grid indices of its years.
+func (s *Scenario) DiscountsAt(idx []int, out []float64) []float64 {
+	out = out[:len(idx)]
+	for k, i := range idx {
+		out[k] = s.discount[i]
+	}
+	return out
+}
+
 // DiscountBetween returns the discount factor between grid years t1 <= t2.
 func (s *Scenario) DiscountBetween(t1, t2 float64) float64 {
 	return s.discount[s.index(t2)] / s.discount[s.index(t1)]

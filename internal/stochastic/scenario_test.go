@@ -138,6 +138,24 @@ func TestDiscountIdentityAtZero(t *testing.T) {
 	}
 }
 
+func TestDiscountsAtMatchesDiscount(t *testing.T) {
+	g, _ := NewGenerator(testConfig())
+	s := g.Generate(finmath.NewRNG(5), RiskNeutral)
+	idx := make([]int, 8)
+	for y := range idx {
+		idx[y] = s.IndexOfYear(float64(y))
+	}
+	got := s.DiscountsAt(idx, make([]float64, 12))
+	if len(got) != len(idx) {
+		t.Fatalf("%d discount factors for %d indices", len(got), len(idx))
+	}
+	for y, d := range got {
+		if d != s.Discount(float64(y)) {
+			t.Fatalf("year %d: DiscountsAt %v != Discount %v", y, d, s.Discount(float64(y)))
+		}
+	}
+}
+
 func TestVasicekMeanReversion(t *testing.T) {
 	// Long-horizon mean of the short rate should approach the long-run mean.
 	cfg := testConfig()
