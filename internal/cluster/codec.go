@@ -145,10 +145,17 @@ type executeRequest struct {
 	// the worker holds the slice open that long (concurrently with every
 	// other slice in flight across the cluster).
 	PaceSeconds float64 `json:"paceSeconds,omitempty"`
-	// ScenarioPeers is the cluster membership snapshot (worker addresses)
-	// the scenario ring is built over, so shard ownership is consistent
-	// across every slice of one dispatch.
-	ScenarioPeers []string `json:"scenarioPeers,omitempty"`
+	// ScenarioPeers is the cluster membership snapshot the scenario ring is
+	// built over, so shard ownership is consistent across every slice of
+	// one dispatch.
+	ScenarioPeers []peerWire `json:"scenarioPeers,omitempty"`
+}
+
+// peerWire is one member of the snapshot. The ring hashes the name — the
+// identity that survives a restart — and a fetch dials the address.
+type peerWire struct {
+	Name string `json:"name"`
+	Addr string `json:"addr"`
 }
 
 // decodeBlocks rebuilds and validates the request's blocks and checks the
@@ -181,18 +188,34 @@ type executeResponse struct {
 	Y1 [][]float64 `json:"y1"`
 }
 
-// scenarioRequest asks a node for one outer path of a ref's base set — the
-// fetch half of the fetch-or-generate protocol. The full ref travels so the
-// owner can build the set even when it has not executed a slice of that
-// campaign yet.
+// maxScenarioIndices bounds the outer paths one scenario request may ask
+// for: a few MB of reply on the annual grid, tens on a monthly one.
+const maxScenarioIndices = 1024
+
+// scenarioRequest asks a node for outer paths of a ref's base set: all the
+// paths of one slice that the node owns, in one exchange. The full ref
+// travels so the owner can build the set even when it has not executed a
+// slice of that campaign yet.
 type scenarioRequest struct {
-	Ref   stochastic.Ref `json:"ref"`
-	Index int            `json:"index"`
+	Ref     stochastic.Ref `json:"ref"`
+	Indices []int          `json:"indices"`
 }
 
-// scenarioResponse carries the path.
+func (r *scenarioRequest) validate() error {
+	if len(r.Indices) == 0 || len(r.Indices) > maxScenarioIndices {
+		return fmt.Errorf("cluster: scenario request for %d paths, want 1..%d", len(r.Indices), maxScenarioIndices)
+	}
+	for _, i := range r.Indices {
+		if i < 0 || i > 1<<30 {
+			return fmt.Errorf("cluster: scenario index %d out of range", i)
+		}
+	}
+	return r.Ref.Validate()
+}
+
+// scenarioResponse carries the paths, in request order.
 type scenarioResponse struct {
-	Scenario stochastic.ScenarioWire `json:"scenario"`
+	Scenarios []stochastic.ScenarioWire `json:"scenarios"`
 }
 
 // errorResponse is the JSON body of every non-2xx reply.

@@ -388,10 +388,10 @@ func (c *Coordinator) runGroup(ctx context.Context, job *alm.JobValuer, req core
 	}
 
 	live := c.live()
-	peers := make([]string, len(live))
+	peers := make([]peerWire, len(live))
 	totalSlots := 0
 	for i, m := range live {
-		peers[i] = m.addr
+		peers[i] = peerWire{Name: m.name, Addr: m.addr}
 		totalSlots += m.slots
 	}
 	pending := splitRange(sliceRange{0, outer}, totalSlots)

@@ -75,12 +75,3 @@ func (r *Ring) Owner(key string) string {
 	}
 	return r.points[i].node
 }
-
-// Len returns the number of distinct nodes on the ring.
-func (r *Ring) Len() int {
-	seen := map[string]bool{}
-	for _, p := range r.points {
-		seen[p.node] = true
-	}
-	return len(seen)
-}

@@ -50,36 +50,6 @@ func TestStatusDerivedStatsTable(t *testing.T) {
 	}
 }
 
-// TestScenarioCacheHitRateTable guards the cache's hit-rate figure the same
-// way: zero lookups must read as 0, not NaN.
-func TestScenarioCacheHitRateTable(t *testing.T) {
-	cases := []struct {
-		name    string
-		built   int64
-		lookups int64
-		want    float64
-	}{
-		{name: "untouched cache"},
-		{name: "every lookup built (cold)", built: 4, lookups: 4, want: 0},
-		{name: "half served from cache", built: 2, lookups: 4, want: 0.5},
-		{name: "fully warm", built: 1, lookups: 10, want: 0.9},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := newScenarioCache()
-			c.built.Store(tc.built)
-			c.lookups.Store(tc.lookups)
-			got := c.hitRate()
-			if math.IsNaN(got) || math.IsInf(got, 0) {
-				t.Fatalf("hitRate = %v, want finite", got)
-			}
-			if math.Abs(got-tc.want) > 1e-12 {
-				t.Fatalf("hitRate = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
 // TestSplitRangeTable pins the slicing arithmetic the scatter and re-slice
 // paths share: full coverage, contiguity, and sane behaviour on degenerate
 // inputs (zero survivors, more pieces than paths).

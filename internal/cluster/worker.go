@@ -30,19 +30,15 @@ type Worker struct {
 	// Slots is the advertised slice concurrency.
 	Slots int
 
-	cache  *scenarioCache
+	cache  scenarioCache
 	client *http.Client
 
 	srv  *http.Server
-	ln   net.Listener
 	addr atomic.Value // string; reachable base address once serving
 
-	mu        sync.Mutex
-	hbCancel  context.CancelFunc
-	closed    bool
-	slicesRun atomic.Int64
-	pathsRun  atomic.Int64
-	served    atomic.Int64 // scenario shards served to peers
+	mu       sync.Mutex
+	hbCancel context.CancelFunc
+	closed   bool
 }
 
 // NewWorker builds a worker node. Slots below 1 become 1.
@@ -53,7 +49,6 @@ func NewWorker(name string, slots int) *Worker {
 	return &Worker{
 		Name:   name,
 		Slots:  slots,
-		cache:  newScenarioCache(),
 		client: &http.Client{Timeout: 30 * time.Second},
 	}
 }
@@ -73,7 +68,6 @@ func (w *Worker) Start(addr string) error {
 	if err != nil {
 		return fmt.Errorf("cluster: worker listen: %w", err)
 	}
-	w.ln = ln
 	w.addr.Store(ln.Addr().String())
 	w.srv = &http.Server{Handler: w.handler(), ReadHeaderTimeout: 10 * time.Second}
 	go func() {
@@ -142,6 +136,7 @@ func (w *Worker) Close() {
 		w.hbCancel()
 	}
 	w.mu.Unlock()
+	w.client.CloseIdleConnections() // a peer's Shutdown would wait out a spare dial of our fetches
 	if w.srv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
@@ -177,7 +172,7 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// One walk means one scenario recipe: resolve it once for the group.
-	src, err := resolveScenarios(w.cache, blocks[0].ScenarioRef, req.ScenarioPeers, w.Addr(), w.fetchScenario)
+	src, err := w.scenarios(r.Context(), blocks[0].ScenarioRef, req.ScenarioPeers, req.From, req.To)
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, err)
 		return
@@ -210,23 +205,17 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 		case <-pace:
 		}
 	}
-	w.slicesRun.Add(1)
-	w.pathsRun.Add(int64((req.To - req.From) * len(blocks)))
 	writeJSON(rw, http.StatusOK, executeResponse{Y1: y1})
 }
 
-// handleScenario serves one outer path of a ref's base set to a peer.
+// handleScenario serves outer paths of a ref's base set to a peer.
 func (w *Worker) handleScenario(rw http.ResponseWriter, r *http.Request) {
 	var req scenarioRequest
 	if !decodeInto(rw, r, &req) {
 		return
 	}
-	if err := req.Ref.Validate(); err != nil {
+	if err := req.validate(); err != nil {
 		writeError(rw, http.StatusBadRequest, err)
-		return
-	}
-	if req.Index < 0 || req.Index > 1<<30 {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("cluster: scenario index %d out of range", req.Index))
 		return
 	}
 	base, err := w.cache.base(&req.Ref)
@@ -234,21 +223,11 @@ func (w *Worker) handleScenario(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-	sc := base.Outer(req.Index)
-	w.served.Add(1)
-	writeJSON(rw, http.StatusOK, scenarioResponse{Scenario: sc.Wire()})
-}
-
-// fetchScenario is the worker's client side of the shard protocol.
-func (w *Worker) fetchScenario(addr string, ref stochastic.Ref, index int) (*stochastic.Scenario, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	var resp scenarioResponse
-	if err := postJSON(ctx, w.client, "http://"+addr+"/v1/scenario",
-		scenarioRequest{Ref: ref, Index: index}, &resp); err != nil {
-		return nil, err
+	resp := scenarioResponse{Scenarios: make([]stochastic.ScenarioWire, len(req.Indices))}
+	for k, i := range req.Indices {
+		resp.Scenarios[k] = base.src.Outer(i).Wire()
 	}
-	return resp.Scenario.Restore()
+	writeJSON(rw, http.StatusOK, resp)
 }
 
 // postJSON posts a JSON body and decodes a JSON reply (out may be nil). A

@@ -1,6 +1,7 @@
 package stochastic
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -128,8 +129,8 @@ func NewSet(gen *Generator, seed uint64) *Set {
 	return s
 }
 
-// Outer implements Source.
-func (s *Set) Outer(i int) *Scenario {
+// outerEntry returns the cache entry of outer path i, creating it empty.
+func (s *Set) outerEntry(i int) *setEntry {
 	sh := &s.shards[outerShard(i)]
 	sh.mu.Lock()
 	e, ok := sh.outer[i]
@@ -138,6 +139,12 @@ func (s *Set) Outer(i int) *Scenario {
 		sh.outer[i] = e
 	}
 	sh.mu.Unlock()
+	return e
+}
+
+// Outer implements Source.
+func (s *Set) Outer(i int) *Scenario {
+	e := s.outerEntry(i)
 	e.once.Do(func() {
 		e.s = s.src.Outer(i)
 		s.generated.Add(1)
@@ -162,26 +169,26 @@ func (s *Set) Lookup(i int) (*Scenario, bool) {
 }
 
 // Install memoizes an externally obtained outer path i — the cluster's
-// fetch-or-generate protocol installs scenarios fetched from the shard's
-// owner node here. The caller must supply exactly the scenario the set would
-// have generated itself (scenario generation is deterministic per index, so
-// a faithful fetch always does). The canonical entry is returned: when a
-// local generation raced the fetch and won, the generated scenario stays and
-// the fetched copy is dropped.
-func (s *Set) Install(i int, sc *Scenario) *Scenario {
-	sh := &s.shards[outerShard(i)]
-	sh.mu.Lock()
-	e, ok := sh.outer[i]
-	if !ok {
-		e = &setEntry{}
-		sh.outer[i] = e
+// prefetch installs scenarios fetched from the shard's owner node here. The
+// caller must supply exactly the scenario the set would have generated itself
+// (generation is deterministic per index, so a faithful fetch always does). A
+// scenario off the generator's grid is refused: a batched walk copies
+// memoized paths into fixed-width panels, where a short path would leave
+// stale values behind instead of failing (Restore holds every driver path to
+// the rate path's length). When a local generation raced the fetch and won,
+// the generated scenario stays and the fetched copy is dropped.
+func (s *Set) Install(i int, sc *Scenario) error {
+	g := s.src.gen
+	if sc.Dt != g.dt || len(sc.Rates) != g.steps+1 || len(sc.Equities) != len(g.eqs) || len(sc.Currencies) != len(g.fxs) {
+		return fmt.Errorf("stochastic: installed path %d is off the set's grid (dt %v, %d points, %d equities, %d currencies)",
+			i, sc.Dt, len(sc.Rates), len(sc.Equities), len(sc.Currencies))
 	}
-	sh.mu.Unlock()
+	e := s.outerEntry(i)
 	e.once.Do(func() {
 		e.s = sc
 		e.done.Store(true)
 	})
-	return e.s
+	return nil
 }
 
 // Inner implements Source. The conditioning outer scenario is part of the

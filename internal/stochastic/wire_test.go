@@ -218,8 +218,8 @@ func TestSetLookupAndInstall(t *testing.T) {
 	// a later Outer serves it without generating.
 	foreign := NewSet(gen, 5).Outer(1)
 	before := s.Generated()
-	if got := s.Install(1, foreign); got != foreign {
-		t.Fatal("install into an empty slot must adopt the scenario")
+	if err := s.Install(1, foreign); err != nil {
+		t.Fatal(err)
 	}
 	if s.Outer(1) != foreign {
 		t.Fatal("outer after install must serve the installed scenario")
@@ -230,8 +230,33 @@ func TestSetLookupAndInstall(t *testing.T) {
 
 	// Install racing an existing entry: the first resolution wins.
 	other := NewSet(gen, 5).Outer(0)
-	if got := s.Install(0, other); got != want {
+	if err := s.Install(0, other); err != nil || s.Outer(0) != want {
 		t.Fatal("install over a generated entry must keep the canonical scenario")
+	}
+
+	// Paths off the generator's grid are refused: a batched walk copies a
+	// memoized path into a fixed-width panel and would keep stale tail values.
+	for name, mutate := range map[string]func(*ScenarioWire){
+		"dt": func(w *ScenarioWire) { w.Dt /= 2 },
+		"point count": func(w *ScenarioWire) {
+			n := len(w.Rates) - 1
+			w.Rates, w.Credit, w.Equities, w.Currencies = w.Rates[:n], w.Credit[:n], nil, nil
+		},
+		"equities":   func(w *ScenarioWire) { w.Equities = append(w.Equities, w.Equities[0]) },
+		"currencies": func(w *ScenarioWire) { w.Currencies = append(w.Currencies, w.Rates) },
+	} {
+		w := NewSet(gen, 5).Outer(2).Wire()
+		mutate(&w)
+		odd, err := w.Restore()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := s.Install(2, odd); err == nil {
+			t.Errorf("%s: a path off the set's grid was installed", name)
+		}
+	}
+	if _, ok := s.Lookup(2); ok {
+		t.Fatal("a refused install left an entry behind")
 	}
 }
 
@@ -246,7 +271,7 @@ func TestSetInstallConcurrentWithGenerate(t *testing.T) {
 
 	var wg sync.WaitGroup
 	canonical := make([]*Scenario, paths)
-	installed := make([]*Scenario, paths)
+	installed := make([]error, paths)
 	for i := 0; i < paths; i++ {
 		fetched := donor.Outer(i)
 		wg.Add(2)
@@ -261,10 +286,10 @@ func TestSetInstallConcurrentWithGenerate(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 0; i < paths; i++ {
-		// Whoever won, both callers must have converged on one pointer, and
-		// Lookup must now serve that same pointer.
-		if canonical[i] != installed[i] {
-			t.Fatalf("path %d: Outer and Install disagree on the canonical scenario", i)
+		// Whoever won, the set must have converged on one pointer: the one
+		// Outer returned is the one Lookup serves.
+		if installed[i] != nil {
+			t.Fatalf("path %d: %v", i, installed[i])
 		}
 		got, ok := s.Lookup(i)
 		if !ok || got != canonical[i] {
