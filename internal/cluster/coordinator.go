@@ -256,78 +256,32 @@ type sliceResult struct {
 	err error
 }
 
-// RunBlocks implements core.BlockRunner: the type-B blocks are grouped into
-// the walks they can share (eeb.GroupWalks — one group for a simulation's
-// blocks), and each group's outer range is scattered across the live
-// workers as job slices, every slice carrying all the group's blocks, with
-// the request's wall-clock occupancy spread over the slices proportionally
-// to their path share. When no workers are registered — or a block carries
-// a live scenario source that cannot ship — the whole request runs on the
+// RunBlocks implements core.BlockRunner: the master loop of the grid package
+// (grid.RunWith — group the type-B blocks into the walks they can share, one
+// valuer per group, progress per block, assemble) over this coordinator's
+// scatter, runGroup, which cuts each group's outer range into job slices for
+// the live workers, every slice carrying all the group's blocks, with the
+// request's wall-clock occupancy spread over the slices proportionally to
+// their path share. When no workers are registered — or a block carries a
+// live scenario source that cannot ship — the whole request runs on the
 // in-process grid instead, with semantics identical to an unclustered
 // deployer.
 func (c *Coordinator) RunBlocks(ctx context.Context, req core.BlockRunRequest) (map[string]*alm.Result, error) {
-	for _, b := range req.Blocks {
-		if err := b.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	groups := eeb.GroupWalks(req.Blocks)
-
-	shippable := true
-	totalPaths := 0
-	for _, group := range groups {
-		for _, b := range group {
-			totalPaths += b.Outer
-			if b.Scenarios != nil && b.ScenarioRef == nil {
-				shippable = false
-			}
+	shippable, totalPaths := true, 0
+	for _, b := range eeb.TypeB(req.Blocks) {
+		totalPaths += b.Outer
+		if b.Scenarios != nil && b.ScenarioRef == nil {
+			shippable = false
 		}
 	}
 	if !shippable || len(c.live()) == 0 {
 		return c.runLocal(ctx, req)
 	}
 	c.jobsRun.Add(1)
-
-	// Progress mirrors grid.Master: per-block Done counters, one event per
-	// block per completed path of the walk, the hook serialised, and —
-	// because a slice reports only on success — naturally idempotent across
-	// worker loss and re-slicing.
-	var progressMu sync.Mutex
-	done := make(map[string]int)
-	onPath := func(group []*eeb.Block) {
-		c.pathsDone.Add(int64(len(group)))
-		if req.OnProgress == nil {
-			return
-		}
-		progressMu.Lock()
-		for _, b := range group {
-			done[b.ID]++
-			req.OnProgress(grid.Progress{BlockID: b.ID, Done: done[b.ID], Total: b.Outer})
-		}
-		progressMu.Unlock()
-	}
-
-	results := make(map[string]*alm.Result)
-	for _, group := range groups {
-		// The coordinator's own valuer of the group: assembles the gathered
-		// values, and walks whatever ranges no worker is left to take.
-		job, err := alm.NewJobValuer(group, req.Seed)
-		if err != nil {
-			return nil, err
-		}
-		y1, err := c.runGroup(ctx, job, req, totalPaths, onPath)
-		if err != nil {
-			return nil, err
-		}
-		assembled, err := job.Assemble(y1)
-		if err != nil {
-			return nil, err
-		}
-		for bi, b := range group {
-			results[b.ID] = assembled[bi]
-		}
-	}
-	return results, nil
+	return grid.RunWith(ctx, req.Blocks, req.Seed, req.OnProgress,
+		func(ctx context.Context, job *alm.JobValuer, onPath func()) ([][]float64, error) {
+			return c.runGroup(ctx, job, req, totalPaths, onPath)
+		})
 }
 
 // runLocal is the degraded path: the in-process grid plus the full local
@@ -354,14 +308,23 @@ func (c *Coordinator) runLocal(ctx context.Context, req core.BlockRunRequest) (m
 	return master.Run(ctx, req.Blocks)
 }
 
-// runGroup scatters the outer range of one walk group over the live workers
-// and gathers the Y1 values, one slice per block. Worker loss mid-run
+// runGroup is the coordinator's grid.Scatter: it scatters the outer range of
+// one walk group over the live workers and gathers the Y1 values, one slice
+// per block, on the coordinator's own valuer of the group (job), which also
+// walks whatever ranges no worker is left to take. Worker loss mid-run
 // re-slices the lost range onto the survivors; if the whole cluster is lost
 // the remaining ranges run locally — either way the gathered values are
 // bit-identical, because every path is a deterministic function of (seed,
-// index).
-func (c *Coordinator) runGroup(ctx context.Context, job *alm.JobValuer, req core.BlockRunRequest, totalPaths int, onPath func([]*eeb.Block)) ([][]float64, error) {
+// index). A slice reports its paths only on success, so progress is
+// idempotent across worker loss and re-slicing.
+func (c *Coordinator) runGroup(ctx context.Context, job *alm.JobValuer, req core.BlockRunRequest, totalPaths int, progress func()) ([][]float64, error) {
 	group, outer := job.Blocks(), job.Outer()
+	onPath := func() {
+		c.pathsDone.Add(int64(len(group)))
+		if progress != nil {
+			progress()
+		}
+	}
 	wire := make([]blockWire, len(group))
 	for bi, b := range group {
 		var err error
@@ -416,7 +379,7 @@ func (c *Coordinator) runGroup(ctx context.Context, job *alm.JobValuer, req core
 				ScenarioPeers: peers,
 			}, &resp)
 			if err == nil {
-				err = checkSliceShape(resp.Y1, len(group), s, m.name)
+				err = grid.CheckPart(resp.Y1, len(group), s.from, s.to)
 			}
 			resCh <- sliceResult{m: m, s: s, y1: resp.Y1, err: err}
 		}()
@@ -497,7 +460,7 @@ func (c *Coordinator) runGroup(ctx context.Context, job *alm.JobValuer, req core
 			store(r.s, r.y1)
 			completed += r.s.to - r.s.from
 			for i := r.s.from; i < r.s.to; i++ {
-				onPath(group)
+				onPath()
 			}
 		case <-ctx.Done():
 			drain()
@@ -507,26 +470,11 @@ func (c *Coordinator) runGroup(ctx context.Context, job *alm.JobValuer, req core
 	return y1, nil
 }
 
-// checkSliceShape rejects a worker reply that does not hold one value per
-// block per path of the slice.
-func checkSliceShape(y1 [][]float64, blocks int, s sliceRange, worker string) error {
-	if len(y1) != blocks {
-		return fmt.Errorf("cluster: worker %s returned values for %d blocks, want %d", worker, len(y1), blocks)
-	}
-	for _, part := range y1 {
-		if len(part) != s.to-s.from {
-			return fmt.Errorf("cluster: worker %s returned %d values for slice [%d,%d)",
-				worker, len(part), s.from, s.to)
-		}
-	}
-	return nil
-}
-
 // runRangeLocal walks one outer range on the coordinator's own valuer — the
 // zero-survivors fallback. The blocks still hold their live scenario source
 // (RunBlocks receives the originals), so the values match the remote ones
 // bit for bit. The range's pace share is held first, like a remote slice.
-func (c *Coordinator) runRangeLocal(ctx context.Context, job *alm.JobValuer, s sliceRange, paceSeconds float64, onPath func([]*eeb.Block)) ([][]float64, error) {
+func (c *Coordinator) runRangeLocal(ctx context.Context, job *alm.JobValuer, s sliceRange, paceSeconds float64, onPath func()) ([][]float64, error) {
 	if paceSeconds > 0 {
 		timer := time.NewTimer(time.Duration(paceSeconds * float64(time.Second)))
 		select {
@@ -537,28 +485,18 @@ func (c *Coordinator) runRangeLocal(ctx context.Context, job *alm.JobValuer, s s
 		}
 	}
 	c.localFallbacks.Add(1)
-	return job.ValueRange(ctx, s.from, s.to, func() { onPath(job.Blocks()) })
+	return job.ValueRange(ctx, s.from, s.to, onPath)
 }
 
 // splitRange cuts a range into n near-equal contiguous pieces (fewer when
-// the range is shorter than n).
+// the range is shorter than n): the grid.SplitRange chunks, shifted.
 func splitRange(s sliceRange, n int) []sliceRange {
 	total := s.to - s.from
-	if n < 1 {
-		n = 1
-	}
-	if n > total {
-		n = total
-	}
-	out := make([]sliceRange, 0, n)
-	from := s.from
-	for i := 0; i < n; i++ {
-		size := total / n
-		if i < total%n {
-			size++
-		}
-		out = append(out, sliceRange{from, from + size})
-		from += size
+	n = min(max(n, 1), total)
+	out := make([]sliceRange, n)
+	for i := range out {
+		from, to := grid.SplitRange(total, n, i)
+		out[i] = sliceRange{s.from + from, s.from + to}
 	}
 	return out
 }

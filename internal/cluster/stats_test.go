@@ -3,6 +3,8 @@ package cluster
 import (
 	"math"
 	"testing"
+
+	"disarcloud/internal/grid"
 )
 
 // TestStatusDerivedStatsTable drives the status endpoint's derived figures
@@ -75,11 +77,16 @@ func TestSplitRangeTable(t *testing.T) {
 				t.Fatalf("%d pieces, want %d", len(parts), tc.want)
 			}
 			at := tc.s.from
-			for _, p := range parts {
+			for i, p := range parts {
 				if p.from != at || p.to <= p.from {
 					t.Fatalf("piece %+v breaks contiguity at %d", p, at)
 				}
 				at = p.to
+				// One cut in the repo: piece i is the grid's chunk i, shifted.
+				from, to := grid.SplitRange(tc.s.to-tc.s.from, len(parts), i)
+				if p.from != tc.s.from+from || p.to != tc.s.from+to {
+					t.Fatalf("piece %d = %+v, grid.SplitRange cuts [%d,%d)", i, p, tc.s.from+from, tc.s.from+to)
+				}
 			}
 			if at != tc.s.to {
 				t.Fatalf("pieces end at %d, want %d", at, tc.s.to)

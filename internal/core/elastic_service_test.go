@@ -307,64 +307,77 @@ func (p panicSource) Inner(i, j int, outer *stochastic.Scenario, branchYear floa
 // TestServicePanickedJobDoesNotTrainKB: a job that crashes mid-valuation
 // must fail cleanly AND leave no execution-time sample behind — before the
 // fix its deploy sample stayed in the knowledge base, training the
-// predictors on the timing of a run that produced nothing.
+// predictors on the timing of a run that produced nothing. The proxy tier
+// values on goroutines of its own: before they ran behind the grid's
+// fork/join its row took the whole process down.
 func TestServicePanickedJobDoesNotTrainKB(t *testing.T) {
-	d, err := NewDeployer(79)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := NewService(d, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
+	for _, tc := range []struct {
+		name  string
+		proxy *ProxySpec
+	}{
+		{name: "grid"},
+		{name: "proxy tier", proxy: &ProxySpec{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := NewDeployer(79)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc, err := NewService(d, WithWorkers(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
 
-	ctx := context.Background()
-	// A healthy job first, so the KB is non-empty and eviction of the
-	// poisoned sample is observable as "unchanged", not "still empty".
-	healthy, err := svc.Submit(ctx, serviceSpec("healthy", 10, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Result(ctx, healthy); err != nil {
-		t.Fatal(err)
-	}
-	before := d.KB().Len()
-	if before == 0 {
-		t.Fatal("healthy job recorded no sample")
-	}
+			ctx := context.Background()
+			// A healthy job first, so the KB is non-empty and eviction of the
+			// poisoned sample is observable as "unchanged", not "still empty".
+			healthy, err := svc.Submit(ctx, serviceSpec("healthy", 10, 5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc.Result(ctx, healthy); err != nil {
+				t.Fatal(err)
+			}
+			before := d.KB().Len()
+			if before == 0 {
+				t.Fatal("healthy job recorded no sample")
+			}
 
-	spec := serviceSpec("poison", 10, 6)
-	gen, err := stochastic.NewGenerator(spec.Market)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Scenarios = panicSource{inner: stochastic.NewPathSource(gen, spec.Seed)}
-	spec.MaxWorkers = 1
-	id, err := svc.Submit(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Result(ctx, id); err == nil {
-		t.Fatal("panicking job reported success")
-	}
-	snap, err := svc.Status(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Status != JobFailed || !strings.Contains(snap.Error, "panic") {
-		t.Fatalf("panicking job = %v (%q), want failed with a panic message", snap.Status, snap.Error)
-	}
-	if got := d.KB().Len(); got != before {
-		t.Fatalf("knowledge base grew from %d to %d samples on a panicked run", before, got)
-	}
-	// The service survives: the next submission still works.
-	next, err := svc.Submit(ctx, serviceSpec("after", 10, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Result(ctx, next); err != nil {
-		t.Fatalf("job after the panic failed: %v", err)
+			spec := serviceSpec("poison", 10, 6)
+			gen, err := stochastic.NewGenerator(spec.Market)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Scenarios = panicSource{inner: stochastic.NewPathSource(gen, spec.Seed)}
+			spec.MaxWorkers = 1
+			spec.Proxy = tc.proxy
+			id, err := svc.Submit(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc.Result(ctx, id); err == nil {
+				t.Fatal("panicking job reported success")
+			}
+			snap, err := svc.Status(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Status != JobFailed || !strings.Contains(snap.Error, "panic") {
+				t.Fatalf("panicking job = %v (%q), want failed with a panic message", snap.Status, snap.Error)
+			}
+			if got := d.KB().Len(); got != before {
+				t.Fatalf("knowledge base grew from %d to %d samples on a panicked run", before, got)
+			}
+			// The service survives: the next submission still works.
+			next, err := svc.Submit(ctx, serviceSpec("after", 10, 7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc.Result(ctx, next); err != nil {
+				t.Fatalf("job after the panic failed: %v", err)
+			}
+		})
 	}
 }
 

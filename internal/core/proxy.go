@@ -4,7 +4,6 @@ import (
 	"context"
 	"hash/fnv"
 	"sort"
-	"sync"
 
 	"disarcloud/internal/alm"
 	"disarcloud/internal/eeb"
@@ -54,10 +53,12 @@ func blockSeed(seed uint64, blockID string) uint64 {
 }
 
 // runProxyValuation executes every type-B block through the proxy serving
-// cascade on a bounded worker pool: per block, train the proxy on a seeded
-// disjoint sample, answer all outer paths through the fast path, escalate
-// gate busts to the full batched pipeline, and assemble. Progress events
-// mirror the grid master's contract (serialised, per completed outer path);
+// cascade, the blocks forked through the grid's fork/join at most workers at
+// a time: per block, train the proxy on a seeded disjoint sample, answer all
+// outer paths through the fast path, escalate gate busts to the full batched
+// pipeline, and assemble. Progress events and failure handling are the grid
+// master's (one counter, serialised, per completed outer path; the first
+// failing or panicking block stops the rest and is the error returned);
 // results are bit-deterministic in (blocks, seed, spec) and independent of
 // the worker count.
 func runProxyValuation(ctx context.Context, blocks []*eeb.Block, workers int, seed uint64, pspec ProxySpec, onProgress func(grid.Progress)) (map[string]*alm.Result, *ProxyReport, error) {
@@ -65,12 +66,6 @@ func runProxyValuation(ctx context.Context, blocks []*eeb.Block, workers int, se
 	ordered := make([]*eeb.Block, len(typeB))
 	copy(ordered, typeB)
 	eeb.SortByComplexity(ordered)
-	if workers < 1 {
-		workers = 1
-	}
-
-	var progressMu sync.Mutex
-	done := make(map[string]int, len(ordered))
 
 	type blockOut struct {
 		id    string
@@ -78,52 +73,26 @@ func runProxyValuation(ctx context.Context, blocks []*eeb.Block, workers int, se
 		stats proxyval.Stats
 	}
 	outs := make([]blockOut, len(ordered))
-	errs := make([]error, len(ordered))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for bi, b := range ordered {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(bi int, b *eeb.Block) {
-			defer func() { <-sem; wg.Done() }()
-			v, err := alm.NewValuer(b, seed)
-			if err != nil {
-				errs[bi] = err
-				return
-			}
-			p, err := proxyval.Train(ctx, v, pspec, blockSeed(seed, b.ID))
-			if err != nil {
-				errs[bi] = err
-				return
-			}
-			var onDone func()
-			if onProgress != nil {
-				blockID, total := b.ID, b.Outer
-				onDone = func() {
-					progressMu.Lock()
-					done[blockID]++
-					onProgress(grid.Progress{BlockID: blockID, Done: done[blockID], Total: total})
-					progressMu.Unlock()
-				}
-			}
-			res, stats, err := p.Value(ctx, v, onDone)
-			if err != nil {
-				errs[bi] = err
-				return
-			}
-			outs[bi] = blockOut{id: b.ID, res: res, stats: stats}
-		}(bi, b)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	progress := grid.NewProgressCounter(onProgress)
+	err := grid.ForkJoin(ctx, len(ordered), max(workers, 1), func(ctx context.Context, bi int) error {
+		b := ordered[bi]
+		v, err := alm.NewValuer(b, seed)
 		if err != nil {
-			// Prefer the plain context error so cancellation matches errors.Is,
-			// like the grid master does.
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, nil, ctxErr
-			}
-			return nil, nil, err
+			return err
 		}
+		p, err := proxyval.Train(ctx, v, pspec, blockSeed(seed, b.ID))
+		if err != nil {
+			return err
+		}
+		res, stats, err := p.Value(ctx, v, progress.OnPath(ordered[bi:bi+1]))
+		if err != nil {
+			return err
+		}
+		outs[bi] = blockOut{id: b.ID, res: res, stats: stats}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 
 	results := make(map[string]*alm.Result, len(outs))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"disarcloud/internal/actuarial"
+	"disarcloud/internal/benchgate"
 	"disarcloud/internal/eeb"
 	"disarcloud/internal/fund"
 	"disarcloud/internal/policy"
@@ -33,22 +34,49 @@ func benchBlocks(b *testing.B) []*eeb.Block {
 	return blocks
 }
 
-// BenchmarkDistributedRun measures a full DiMaS-orchestrated run of the
-// fixture blocks, per worker count (the real-computation speedup the
-// examples report).
-func BenchmarkDistributedRun(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			blocks := benchBlocks(b)
-			m := &Master{Workers: workers, Seed: 1}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Run(context.Background(), blocks); err != nil {
-					b.Fatal(err)
-				}
+// distributedRun benchmarks a full DiMaS-orchestrated run of the fixture
+// blocks on the given number of workers.
+func distributedRun(workers int) func(*testing.B) {
+	return func(b *testing.B) {
+		blocks := benchBlocks(b)
+		m := &Master{Workers: workers, Seed: 1}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.Run(context.Background(), blocks); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
 	}
+}
+
+var benchWorkers = []int{1, 2, 4, 8}
+
+// BenchmarkDistributedRun measures the run per worker count (the
+// real-computation speedup the examples report). BENCH_pr20.json pins it;
+// TestGridRunBenchSmoke gates it.
+func BenchmarkDistributedRun(b *testing.B) {
+	for _, workers := range benchWorkers {
+		b.Run(fmt.Sprintf("workers=%d", workers), distributedRun(workers))
+	}
+}
+
+// TestGridRunBenchSmoke gates the four BenchmarkDistributedRun rows against
+// the committed BENCH_pr20.json. allocs/op is the figure that matters: what a
+// run allocates beyond its valuers is a result slice per block and a
+// goroutine per rank, and anything per pair of ranks (a channel mesh) shows
+// up at workers=8 at once. bytes/op is not gated (the panels are pooled) and
+// ns/op follows the runner's core count, so it only warns.
+func TestGridRunBenchSmoke(t *testing.T) {
+	rows := make([]benchgate.Row, len(benchWorkers))
+	for i, workers := range benchWorkers {
+		rows[i] = benchgate.Row{
+			Name:       fmt.Sprintf("BenchmarkDistributedRun/workers=%d", workers),
+			Bench:      distributedRun(workers),
+			NsWarnOnly: true,
+		}
+	}
+	benchgate.Run(t, "../../BENCH_pr20.json", rows)
 }
 
 // BenchmarkSequentialRun is the single-unit baseline of Figure 4's ratio.

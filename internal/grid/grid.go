@@ -1,32 +1,33 @@
 // Package grid implements the distributed DISAR architecture of Figure 1 of
 // the paper: a Master service (DiMaS) that splits the input into elementary
-// elaboration blocks, schedules them, distributes work to computing units
-// and monitors progress; and an Engine service (DiEng) on each unit that
-// executes type-A blocks through the actuarial engine (DiActEng) and type-B
-// blocks through the ALM engine (DiAlmEng). Work is scattered and gathered
-// with the mpi package, following the data-separation pattern of Section
-// III: each node computes local values over a disjoint range of outer
+// elaboration blocks, distributes work to computing units and monitors
+// progress; and an Engine service (DiEng) on each unit that executes type-A
+// blocks through the actuarial engine (DiActEng) and type-B blocks through
+// the ALM engine (DiAlmEng). It follows the data-separation pattern of
+// Section III: each unit computes local values over a disjoint range of outer
 // scenarios and the master combines them into the global result.
 //
-// The unit of scatter is an outer range of a job, not of a block: the type-B
-// blocks of a simulation share fund, market, scenarios and sample sizes, so
-// Master.Run groups them (eeb.GroupWalks), builds one alm.JobValuer per
-// group, and hands every rank one [from, to) that it walks for all the
-// group's blocks at once — each scenario generated, and the fund priced
-// along it, once. RunSequential deliberately stays one block at a time: it
-// is the independent reference the fused run is checked against.
+// There is one master loop, RunWith, parameterised by a Scatter — how one
+// job's outer range gets valued. The unit of scatter is an outer range of a
+// job, not of a block: the type-B blocks of a simulation share fund, market,
+// scenarios and sample sizes, so the loop groups them (eeb.GroupWalks),
+// builds one alm.JobValuer per group, and every engine walks its [from, to)
+// for all the group's blocks at once — each scenario generated, and the fund
+// priced along it, once. Master.Run plugs in the in-process scatter, a
+// fork/join of Workers ranks; cluster.Coordinator plugs in slices over HTTP.
+//
+// RunSequential deliberately stays one block at a time: it is the
+// independent reference the fused run is checked against.
 package grid
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"disarcloud/internal/actuarial"
 	"disarcloud/internal/alm"
 	"disarcloud/internal/eeb"
-	"disarcloud/internal/mpi"
 )
 
 // Progress is a monitoring event emitted as outer scenarios complete.
@@ -109,9 +110,11 @@ type executor interface {
 
 var _ executor = (*Engine)(nil)
 
-// Master is the DiMaS orchestrator.
+// Master is the DiMaS orchestrator of the in-process grid: the master loop
+// over a fork/join of Workers ranks.
 type Master struct {
-	// Workers is the number of computing units (MPI ranks).
+	// Workers is the number of computing units (ranks) an outer range is
+	// split over.
 	Workers int
 	// Seed roots every valuation stream; results are independent of Workers.
 	Seed uint64
@@ -177,127 +180,49 @@ func (m *Master) executeWithRetry(ctx context.Context, eng executor, job *alm.Jo
 }
 
 // Run executes every type-B block in blocks across the master's workers and
-// returns the assembled results keyed by block ID. The unit of scatter is an
-// outer range of a job, not of a block: the blocks are grouped into the
-// walks they can share (eeb.GroupWalks — the blocks of one simulation form
-// one group), each group gets one alm.JobValuer built once and shared by
-// the ranks, every rank walks one [from, to) of it for all the group's
-// blocks at once, and the master gathers per block. Type-A blocks in the
-// input are validated and skipped: the valuer computes the decrements it
-// needs itself.
+// returns the assembled results keyed by block ID: the master loop (RunWith)
+// over the in-process scatter. Type-A blocks in the input are validated and
+// skipped: the valuer computes the decrements it needs itself.
 //
-// Cancelling ctx stops every rank between outer paths; the ranks stay in
-// lockstep through the collectives and Run returns ctx.Err().
+// Cancelling ctx stops every rank between outer paths and Run returns
+// ctx.Err(); a rank that fails for good (after MaxRetries) or panics stops
+// its siblings the same way and Run returns that rank's error.
 func (m *Master) Run(ctx context.Context, blocks []*eeb.Block) (map[string]*alm.Result, error) {
 	if m.Workers <= 0 {
 		return nil, errors.New("grid: master needs at least one worker")
 	}
-	for _, b := range blocks {
-		if err := b.Validate(); err != nil {
-			return nil, err
-		}
+	return RunWith(ctx, blocks, m.Seed, m.OnProgress, m.scatter)
+}
+
+// scatter is the in-process Scatter: rank r of a fork/join walks
+// SplitRange(outer, Workers, r) of the job and copies its part into place.
+func (m *Master) scatter(ctx context.Context, job *alm.JobValuer, onPath func()) ([][]float64, error) {
+	group, outer := job.Blocks(), job.Outer()
+	y1 := make([][]float64, len(group))
+	for bi := range y1 {
+		y1[bi] = make([]float64, outer)
 	}
-	groups := eeb.GroupWalks(blocks)
-	jobs := make([]*alm.JobValuer, len(groups))
-	for g, group := range groups {
-		job, err := alm.NewJobValuer(group, m.Seed)
+	// SplitRange hands the extras to the lowest ranks, so with more workers
+	// than paths the ranks from outer on are empty: they get no goroutine.
+	ranks := min(m.Workers, outer)
+	err := ForkJoin(ctx, ranks, ranks, func(ctx context.Context, rank int) error {
+		from, to := SplitRange(outer, m.Workers, rank)
+		local, err := m.executeWithRetry(ctx, m.executor(), job, from, to, onPath)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		jobs[g] = job
-	}
-
-	results := make(map[string]*alm.Result)
-	var progressMu sync.Mutex
-	done := make(map[string]int)
-
-	world := mpi.NewWorld(m.Workers)
-	err := world.Run(func(c *mpi.Comm) error {
-		engine := m.executor()
-		// A rank whose slice fails permanently must KEEP participating in
-		// the collectives (gathering a nil marker) — leaving early would
-		// deadlock the healthy ranks. The error is returned after the
-		// lockstep loop completes.
-		var rankErr error
-		for _, job := range jobs {
-			group, outer := job.Blocks(), job.Outer()
-			from, to := mpi.SplitRange(outer, c.Size(), c.Rank())
-			var onDone func()
-			if m.OnProgress != nil {
-				onDone = func() {
-					// One completed path of the walk is one completed path of
-					// every block in it. The hook runs under the mutex so
-					// calls are serialised across ranks, as the OnProgress
-					// contract promises; keep user hooks fast.
-					progressMu.Lock()
-					for _, b := range group {
-						done[b.ID]++
-						m.OnProgress(Progress{BlockID: b.ID, Done: done[b.ID], Total: outer})
-					}
-					progressMu.Unlock()
-				}
-			}
-			var local [][]float64
-			if rankErr == nil {
-				var err error
-				local, err = m.executeWithRetry(ctx, engine, job, from, to, onDone)
-				if err != nil {
-					rankErr = err
-					local = nil
-				}
-			}
-			y1 := make([][]float64, len(group))
-			for bi, b := range group {
-				var part []float64
-				if local != nil {
-					part = local[bi]
-				}
-				parts, err := c.Gather(0, part)
-				if err != nil {
-					return err
-				}
-				if c.Rank() != 0 || rankErr != nil {
-					continue
-				}
-				y1[bi] = make([]float64, 0, outer)
-				for _, p := range parts {
-					y1[bi] = append(y1[bi], p...)
-				}
-				if len(y1[bi]) != outer {
-					// Some rank contributed a failure marker; surface it
-					// from the master side too.
-					rankErr = fmt.Errorf("grid: block %s gathered %d of %d outer values (worker failure)",
-						b.ID, len(y1[bi]), outer)
-				}
-			}
-			if c.Rank() == 0 && rankErr == nil {
-				assembled, err := job.Assemble(y1)
-				if err != nil {
-					return err
-				}
-				for bi, b := range group {
-					results[b.ID] = assembled[bi]
-				}
-			}
-			// Keep ranks in lockstep across jobs so the gather origin is
-			// unambiguous.
-			if err := c.Barrier(); err != nil {
-				return err
-			}
+		if err := CheckPart(local, len(group), from, to); err != nil {
+			return fmt.Errorf("grid: rank %d: %w", rank, err)
 		}
-		return rankErr
+		for bi, part := range local {
+			copy(y1[bi][from:to], part)
+		}
+		return nil
 	})
 	if err != nil {
-		// Prefer the plain context error over the joined per-rank errors so
-		// callers can match cancellation with errors.Is — but only when the
-		// ranks actually failed on the cancellation, so a genuine fault that
-		// raced the deadline keeps its diagnostics.
-		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
-			return nil, ctxErr
-		}
 		return nil, err
 	}
-	return results, nil
+	return y1, nil
 }
 
 // RunSequential executes every type-B block on a single computing unit —

@@ -204,15 +204,22 @@ func TestExecuteSliceMatchesRange(t *testing.T) {
 
 func TestMoreWorkersThanOuterPaths(t *testing.T) {
 	blocks := testBlocks(t)
-	m := &Master{Workers: 64, Seed: 42} // more ranks than outer paths
-	dist, err := m.Run(context.Background(), blocks)
+	seq, err := RunSequential(context.Background(), blocks, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _ := RunSequential(context.Background(), blocks, 42)
-	for id, want := range seq {
-		if dist[id].BEL != want.BEL {
-			t.Fatalf("block %s BEL mismatch with oversubscribed workers", id)
+	// More ranks than outer paths: the ranks past the 30th have nothing to
+	// walk. 4096 of them must cost nothing either (a channel per pair of
+	// ranks would be gigabytes).
+	for _, workers := range []int{64, 1 << 12} {
+		dist, err := (&Master{Workers: workers, Seed: 42}).Run(context.Background(), blocks)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for id, want := range seq {
+			if got := dist[id]; got == nil || got.BEL != want.BEL || got.SCR != want.SCR {
+				t.Fatalf("workers=%d: block %s differs from the sequential reference", workers, id)
+			}
 		}
 	}
 }
