@@ -1,20 +1,28 @@
 package disarcloud_test
 
 // Golden-file regression test: one fixed-seed end-to-end Solvency II stress
-// campaign whose per-module delta-BEL and aggregate SCR are compared
-// bit-for-bit against testdata/golden_scr.json. Scheduler, pool and
-// control-plane refactors reorder WHEN jobs run but must never change WHAT
-// they compute — this test is the tripwire. Refresh the file only for a
-// change that intentionally alters valuations:
+// campaign whose per-module delta-BEL, aggregate SCR and per-job Y1
+// fingerprints are compared bit-for-bit against testdata/golden_scr.json.
+// Scheduler, pool and control-plane refactors reorder WHEN jobs run but must
+// never change WHAT they compute — this test is the tripwire. The aggregates
+// are means over 60 outer paths and absorb a last-bit change in every path;
+// the fingerprints do not, so "every bit unchanged" is a claim about them. A
+// change that intentionally alters valuation arithmetic re-records the file
+// in its own diff (DESIGN.md "Numerics policy"):
 //
 //	go test -run TestGoldenSCRCampaign -update .
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"disarcloud"
@@ -40,6 +48,34 @@ type goldenSCR struct {
 		Other               float64 `json:"other"`
 		BSCR                float64 `json:"bscr"`
 	} `json:"scr"`
+	// Y1Fingerprint hashes every time-1 value of every job of the campaign
+	// ("base" and each module): see y1Fingerprint.
+	Y1Fingerprint map[string]string `json:"y1_fingerprint"`
+}
+
+// y1Fingerprint is FNV-1a over math.Float64bits of every Results[block].Y1
+// of one job, blocks in ID order: it moves when a single bit of a single
+// outer path's value moves.
+func y1Fingerprint(t *testing.T, svc *disarcloud.Service, id disarcloud.JobID) string {
+	t.Helper()
+	rep, err := svc.Result(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, 0, len(rep.Results))
+	for blockID := range rep.Results {
+		ids = append(ids, blockID)
+	}
+	sort.Strings(ids)
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, blockID := range ids {
+		for _, y := range rep.Results[blockID].Y1 {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(y))
+			h.Write(buf[:])
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // goldenSeed pins the golden campaign: the paper's conference date; never
@@ -100,9 +136,11 @@ func goldenCampaign(t *testing.T, d *disarcloud.Deployer) goldenSCR {
 	}
 
 	out := goldenSCR{Seed: seed, BaseBEL: rep.BaseBEL, BaseVaRSCR: rep.BaseVaRSCR,
-		Modules: make(map[string]float64, len(rep.Modules))}
+		Modules:       make(map[string]float64, len(rep.Modules)),
+		Y1Fingerprint: map[string]string{"base": y1Fingerprint(t, svc, rep.BaseJob)}}
 	for _, m := range rep.Modules {
 		out.Modules[string(m.Module)] = m.DeltaBEL
+		out.Y1Fingerprint[string(m.Module)] = y1Fingerprint(t, svc, m.Job)
 	}
 	out.SCR.Interest = rep.SCR.Interest
 	out.SCR.InterestDownBinding = rep.SCR.InterestDownBinding
@@ -173,6 +211,14 @@ func compareGolden(t *testing.T, got, want goldenSCR) {
 	if got.SCR != want.SCR {
 		t.Errorf("aggregate SCR drifted:\n got %+v\nwant %+v", got.SCR, want.SCR)
 	}
+	if len(got.Y1Fingerprint) != len(want.Y1Fingerprint) {
+		t.Errorf("fingerprint count drifted: got %d, want %d", len(got.Y1Fingerprint), len(want.Y1Fingerprint))
+	}
+	for job, wantSum := range want.Y1Fingerprint {
+		if gotSum := got.Y1Fingerprint[job]; gotSum != wantSum {
+			t.Errorf("job %s: some Y1 bit moved: fingerprint %q, want %q", job, gotSum, wantSum)
+		}
+	}
 }
 
 // TestGoldenSCRRerunIsBitIdentical guards the guard: two fresh runs of the
@@ -187,6 +233,11 @@ func TestGoldenSCRRerunIsBitIdentical(t *testing.T) {
 	for mod, da := range a.Modules {
 		if db := b.Modules[mod]; da != db {
 			t.Fatalf("module %s differs across reruns: %v vs %v", mod, da, db)
+		}
+	}
+	for job, fa := range a.Y1Fingerprint {
+		if fb := b.Y1Fingerprint[job]; fa != fb {
+			t.Fatalf("job %s Y1 differs across reruns: %s vs %s", job, fa, fb)
 		}
 	}
 }

@@ -128,11 +128,12 @@ func (c Config) NumAssets() int { return len(c.Assets) }
 type Fund struct {
 	cfg  Config
 	rate stochastic.VasicekParams
-	// yields caches, per asset sleeve, the maturity-constant terms of the
-	// sleeve's zero-coupon curve point (bond kinds only): the bond leg is
-	// repriced once per simulated (path, year), so hoisting the constants
-	// out of the hot loop matters. Cached yields are bit-identical to
-	// stochastic.ImpliedYield.
+	// yields holds, per asset sleeve, the sleeve's zero-coupon curve point
+	// as an affine function of the short rate (bond kinds only): the bond
+	// leg is repriced once per simulated (path, year), so the hot loop pays
+	// a multiply-add there and no transcendental. It is the same function
+	// stochastic.ImpliedYield evaluates, so the walk and the scalar
+	// reference (localReturn) agree bit for bit.
 	yields []stochastic.YieldCache
 }
 
@@ -210,7 +211,7 @@ func (f *Fund) MarketReturnsInto(s *stochastic.Scenario, years int, out []float6
 				local := y0 - duration*(y1-y0)
 				y0 = y1
 				if a.Kind == CorporateBond {
-					lambda := math.Max(s.Credit[idx[t]], 0)
+					lambda := max(s.Credit[idx[t]], 0)
 					local += 1.5*lambda - a.LossGivenDefault*lambda
 				}
 				ret := local
@@ -261,7 +262,7 @@ func (f *Fund) localReturn(a Asset, s *stochastic.Scenario, t int) float64 {
 		if a.Kind == CorporateBond {
 			// Credit carry spread minus expected default loss at the
 			// prevailing intensity.
-			lambda := math.Max(s.Credit[s.IndexOfYear(float64(t))], 0)
+			lambda := max(s.Credit[s.IndexOfYear(float64(t))], 0)
 			ret += 1.5*lambda - a.LossGivenDefault*lambda
 		}
 		return ret
@@ -297,12 +298,12 @@ func (f *Fund) ReturnsInto(s *stochastic.Scenario, years int, out, market []floa
 		if m > f.cfg.TargetReturn {
 			stash := f.cfg.SmoothingFraction * (m - f.cfg.TargetReturn)
 			if buffer+stash > f.cfg.MaxBuffer {
-				stash = math.Max(f.cfg.MaxBuffer-buffer, 0)
+				stash = max(f.cfg.MaxBuffer-buffer, 0)
 			}
 			credited = m - stash
 			buffer += stash
 		} else if buffer > 0 {
-			release := math.Min(buffer, f.cfg.TargetReturn-m)
+			release := min(buffer, f.cfg.TargetReturn-m)
 			credited = m + release
 			buffer -= release
 		}

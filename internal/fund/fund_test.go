@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"disarcloud/internal/benchgate"
 	"disarcloud/internal/finmath"
 	"disarcloud/internal/stochastic"
 )
@@ -355,4 +356,39 @@ func TestMarketReturnsIntoMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkFundReturns measures one credited-return walk at the campaign
+// workload's shape: the 6-sleeve fund (1 equity + 5 bond sleeves) over a
+// 25-year inner path, i.e. 130 curve points, into caller-owned buffers.
+// BENCH_pr21.json pins it; TestFundReturnsBenchSmoke gates it.
+func BenchmarkFundReturns(b *testing.B) {
+	const years = 25
+	m := testMarket()
+	f, err := New(TypicalItalianFund(6, m), m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := stochastic.NewGenerator(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := gen.Generate(finmath.NewRNG(3), stochastic.RiskNeutral)
+	out, market, idx := make([]float64, years), make([]float64, years), make([]int, years+1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = f.ReturnsInto(s, years, out, market, idx)
+	}
+}
+
+var benchSink []float64
+
+// TestFundReturnsBenchSmoke holds the fund walk to BENCH_pr21.json: 0
+// allocs/op exactly; ns/op warns at >20% and fails at >2x. A Log and an Exp
+// back in the per-(path, sleeve, year) loop read about 9x on this row.
+func TestFundReturnsBenchSmoke(t *testing.T) {
+	benchgate.Run(t, "../../BENCH_pr21.json", []benchgate.Row{
+		{Name: "BenchmarkFundReturns", Bench: BenchmarkFundReturns},
+	})
 }

@@ -257,28 +257,72 @@ func TestGenerateMatchesLegacyStep(t *testing.T) {
 	}
 }
 
-// TestYieldCacheMatchesZeroCouponPricing pins the cached zero-coupon curve
-// point against the original uncached expression — the yield implied by
-// ZeroCouponPrice — for a sweep of rates and maturities. ImpliedYield now
-// routes through the cache, so this guards the cache against the pricing
-// function, not against itself.
+// TestYieldCacheMatchesZeroCouponPricing holds the affine curve point to the
+// priced reference — the yield implied by ZeroCouponPrice — over a sweep of
+// rates and maturities. The two are algebraically identical, not the same
+// arithmetic (the reference rounds through Exp and Log), so the comparison
+// is within rounding; ImpliedYield IS the cache, so that one is bitwise and
+// is what keeps fund.TestMarketReturnsIntoMatchesReference exact.
 func TestYieldCacheMatchesZeroCouponPricing(t *testing.T) {
+	const tol = 1e-15
 	p := testConfig().Rate
 	rng := finmath.NewRNG(17)
-	for _, tau := range []float64{0.25, 2, 5, 8.5, 12} {
+	for _, tau := range []float64{0.25, 2, 5, 8.5, 12, 30} {
 		c := NewYieldCache(p, tau)
+		rates := []float64{-0.03, 0.07}
 		for n := 0; n < 200; n++ {
-			r := -0.03 + 0.1*rng.Float64()
+			rates = append(rates, -0.03+0.1*rng.Float64())
+		}
+		for _, r := range rates {
 			want := -math.Log(ZeroCouponPrice(p, r, tau)) / tau
-			if got := c.Yield(r); got != want {
-				t.Fatalf("yield cache drifted at tau=%v r=%v: %v != %v", tau, r, got, want)
+			got := c.Yield(r)
+			if math.Abs(got-want) > tol {
+				t.Fatalf("yield cache left the priced curve at tau=%v r=%v: %v vs %v (diff %g)",
+					tau, r, got, want, got-want)
 			}
-			if got := ImpliedYield(p, r, tau); got != want {
-				t.Fatalf("ImpliedYield drifted at tau=%v r=%v: %v != %v", tau, r, got, want)
+			if implied := ImpliedYield(p, r, tau); implied != got {
+				t.Fatalf("ImpliedYield is not the cache at tau=%v r=%v: %v != %v", tau, r, implied, got)
 			}
 		}
 	}
 	if got := NewYieldCache(p, 0).Yield(0.02); got != 0.02 {
 		t.Fatalf("zero-maturity yield = %v, want the short rate", got)
+	}
+	if got := ImpliedYield(p, 0.02, -1); got != 0.02 {
+		t.Fatalf("negative-maturity yield = %v, want the short rate", got)
+	}
+}
+
+// TestYieldIsAffineAndFiniteFarFromTheCurve is the property the priced round
+// trip could not offer: the yield is exactly intercept + slope*r at any
+// short rate, so it stays finite where exp(logA - bTau*r) leaves the float64
+// range and the priced form returns an infinity.
+func TestYieldIsAffineAndFiniteFarFromTheCurve(t *testing.T) {
+	p := testConfig().Rate
+	for _, tau := range []float64{0.25, 5, 30} {
+		c := NewYieldCache(p, tau)
+		if !(c.slope > 0 && c.slope <= 1) {
+			t.Fatalf("tau=%v: slope %v outside (0, 1]", tau, c.slope)
+		}
+		for _, r := range []float64{-10, -1, -0.5, 0, 0.5, 1, 10} {
+			got := c.Yield(r)
+			if math.IsInf(got, 0) || math.IsNaN(got) {
+				t.Fatalf("tau=%v r=%v: yield %v not finite", tau, r, got)
+			}
+			if want := c.intercept + c.slope*r; got != want {
+				t.Fatalf("tau=%v r=%v: yield %v, want intercept + slope*r = %v", tau, r, got, want)
+			}
+		}
+	}
+	// bTau(30) is about 3.3 here, so the price over- and underflows around
+	// |r| = 215; the yield does neither.
+	c := NewYieldCache(p, 30)
+	for _, r := range []float64{-1e3, 1e3} {
+		if priced := -math.Log(ZeroCouponPrice(p, r, 30)) / 30; !math.IsInf(priced, 0) {
+			t.Fatalf("r=%v: priced reference %v, expected it to overflow", r, priced)
+		}
+		if got, want := c.Yield(r), c.intercept+c.slope*r; got != want || math.IsInf(got, 0) {
+			t.Fatalf("r=%v: yield %v, want finite %v", r, got, want)
+		}
 	}
 }

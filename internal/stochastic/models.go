@@ -177,7 +177,7 @@ func (p CIRParams) Validate() error {
 
 // step advances the intensity by dt (full-truncation Euler).
 func (p CIRParams) step(l, dt, z float64) float64 {
-	lPos := math.Max(l, 0)
+	lPos := max(l, 0)
 	next := l + p.Speed*(p.Mean-lPos)*dt + p.Sigma*math.Sqrt(lPos*dt)*z
 	return next
 }
@@ -202,36 +202,42 @@ func ImpliedYield(p VasicekParams, r, tau float64) float64 {
 	return NewYieldCache(p, tau).Yield(r)
 }
 
-// YieldCache precomputes the maturity-constant terms of the Vasicek
-// zero-coupon price — bTau and logA depend only on the model parameters and
-// the maturity, not on the prevailing short rate — so a rolling bond sleeve
-// repricing the same curve point along every simulated path pays their
-// exp/arithmetic once per fund instead of once per (path, year). The cached
-// values are computed by the exact expressions of ZeroCouponPrice, and
-// Yield replays its remaining arithmetic verbatim, so YieldCache.Yield is
-// bit-identical to ImpliedYield.
+// YieldCache is one point of the Vasicek zero-coupon curve as a function of
+// the short rate. The log price is logA - bTau*r, so the continuously
+// compounded yield -log P / tau is AFFINE in r; intercept and slope depend
+// only on the model parameters and the maturity and are computed once, by
+// the expressions of ZeroCouponPrice. A rolling bond sleeve repricing the
+// same curve point along every simulated path then pays one multiply-add per
+// (path, year) and nothing from package math. Yield is the only
+// implementation of the curve point (ImpliedYield routes through it, so the
+// two are bitwise equal); against the priced form
+// -log(ZeroCouponPrice(p, r, tau))/tau it is an algebraic identity, equal
+// within rounding, not bit for bit.
 type YieldCache struct {
-	tau  float64
-	bTau float64
-	logA float64
+	tau       float64
+	intercept float64 // -logA / tau
+	slope     float64 // bTau / tau
 }
 
-// NewYieldCache prepares the cached curve point for maturity tau.
+// NewYieldCache prepares the curve point for maturity tau.
 func NewYieldCache(p VasicekParams, tau float64) YieldCache {
 	c := YieldCache{tau: tau}
 	if tau <= 0 {
 		return c
 	}
 	a, b, sigma := p.Speed, p.MeanQ, p.Sigma
-	c.bTau = (1 - math.Exp(-a*tau)) / a
-	c.logA = (c.bTau-tau)*(b-sigma*sigma/(2*a*a)) - sigma*sigma*c.bTau*c.bTau/(4*a)
+	bTau := (1 - math.Exp(-a*tau)) / a
+	logA := (bTau-tau)*(b-sigma*sigma/(2*a*a)) - sigma*sigma*bTau*bTau/(4*a)
+	c.intercept = -logA / tau
+	c.slope = bTau / tau
 	return c
 }
 
-// Yield returns the implied yield at short rate r.
+// Yield returns the implied yield at short rate r; a non-positive maturity
+// yields the short rate itself.
 func (c YieldCache) Yield(r float64) float64 {
 	if c.tau <= 0 {
 		return r
 	}
-	return -math.Log(math.Exp(c.logA-c.bTau*r)) / c.tau
+	return c.intercept + c.slope*r
 }
