@@ -241,3 +241,40 @@ func TestGoldenSCRRerunIsBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenAggregatesWithinToleranceOfPR21 is the HEAD-vs-history half of
+// the numerics policy for PR 22 (contract weights, the bond leg and Eq. (3)
+// folded into compile-time constants): the re-recorded golden file's
+// aggregates against the values PR 21 recorded, within 1e-12 relative. The
+// rewrite moved no draw, so nothing may differ by more than rounding; most
+// did not move at all.
+func TestGoldenAggregatesWithinToleranceOfPR21(t *testing.T) {
+	now := readGolden(t)
+	rows := []struct {
+		name      string
+		pr21, now float64
+	}{
+		{"base BEL", 210472100.51915294, now.BaseBEL},
+		{"base VaR SCR", 18269484.00504619, now.BaseVaRSCR},
+		{"equity delta-BEL", 0, now.Modules["equity"]},
+		{"fx delta-BEL", 0, now.Modules["fx"]},
+		{"interest_down delta-BEL", 15315360.994946152, now.Modules["interest_down"]},
+		{"interest_up delta-BEL", 0, now.Modules["interest_up"]},
+		{"lapse delta-BEL", 2300919.184515655, now.Modules["lapse"]},
+		{"mortality delta-BEL", 137926.2608872354, now.Modules["mortality"]},
+		{"spread delta-BEL", 1400138.6469914615, now.Modules["spread"]},
+		{"interest SCR", 15315360.994946152, now.SCR.Interest},
+		{"market SCR", 16061267.0564301, now.SCR.Market},
+		{"life SCR", 2305049.4023153866, now.SCR.Life},
+		{"BSCR", 16786558.885593776, now.SCR.BSCR},
+	}
+	for _, row := range rows {
+		if !(math.Abs(row.now-row.pr21) <= 1e-12*math.Abs(row.pr21)) {
+			t.Errorf("%s: %v now, %v at PR 21: apart by more than 1e-12 relative", row.name, row.now, row.pr21)
+		}
+	}
+	if now.Y1Fingerprint["fx"] != now.Y1Fingerprint["base"] {
+		t.Errorf("fx job fingerprint %s != base %s: the fx module is identically zero on this fund",
+			now.Y1Fingerprint["fx"], now.Y1Fingerprint["base"])
+	}
+}

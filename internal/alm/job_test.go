@@ -117,8 +117,28 @@ func (r *referenceValuer) y1(t testing.TB, from, to int) []float64 {
 	return out
 }
 
-// requireJobMatchesReference holds the job walk over blocks to the per-block
-// reference, bit for bit, on outer paths [from, to).
+// referenceTolerance bounds |walk - reference| relative to the reference.
+// The walk values a contract through the compiled policy.Kernel, the
+// reference through the FlowsInto schedule: one real number, two
+// associations (policy.Kernel). The worst Y1 seen is 4 ulp apart; 1e-13 is
+// ~450. What the walk promises about ITSELF — alone == in its job, any
+// partition, batched == scalar — stays bitwise and is asserted so below.
+const referenceTolerance = 1e-13
+
+func withinReference(got, want float64) bool {
+	if want != 0 {
+		worstReferenceGap = max(worstReferenceGap, math.Abs(got-want)/math.Abs(want))
+	}
+	return math.Abs(got-want) <= referenceTolerance*math.Abs(want)
+}
+
+// worstReferenceGap is the largest relative gap withinReference has seen,
+// logged by TestJobWalkMatchesPerBlockReference.
+var worstReferenceGap float64
+
+// requireJobMatchesReference holds the job walk over blocks, on outer paths
+// [from, to), to the per-block reference within referenceTolerance and to
+// each block walked alone bit for bit.
 func requireJobMatchesReference(t *testing.T, blocks []*eeb.Block, seed uint64, from, to int) {
 	t.Helper()
 	job, err := NewJobValuer(blocks, seed)
@@ -137,10 +157,22 @@ func requireJobMatchesReference(t *testing.T, blocks []*eeb.Block, seed uint64, 
 		if len(got[bi]) != len(want) {
 			t.Fatalf("block %s: %d values, want %d", b.ID, len(got[bi]), len(want))
 		}
+		v, err := NewValuer(b, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone, err := v.ValueRange(context.Background(), from, to, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range want {
-			if math.Float64bits(got[bi][i]) != math.Float64bits(want[i]) {
-				t.Fatalf("block %s outer %d: job walk %v (%#x) != reference %v (%#x)", b.ID, from+i,
-					got[bi][i], math.Float64bits(got[bi][i]), want[i], math.Float64bits(want[i]))
+			if !withinReference(got[bi][i], want[i]) {
+				t.Fatalf("block %s outer %d: job walk %v (%#x), reference %v (%#x): apart by more than %g relative", b.ID, from+i,
+					got[bi][i], math.Float64bits(got[bi][i]), want[i], math.Float64bits(want[i]), referenceTolerance)
+			}
+			if math.Float64bits(got[bi][i]) != math.Float64bits(alone[i]) {
+				t.Fatalf("block %s outer %d: in its job %v (%#x) != alone %v (%#x)", b.ID, from+i,
+					got[bi][i], math.Float64bits(got[bi][i]), alone[i], math.Float64bits(alone[i]))
 			}
 		}
 	}
@@ -173,11 +205,13 @@ func archetypeBlocks(t testing.TB, spec policy.GeneratorSpec, outer, inner int, 
 	return eeb.TypeB(blocks)
 }
 
-// TestJobWalkMatchesPerBlockReference is the bit-identity contract of the
-// fusion and of the kernel together: walking a job's blocks at once — each
-// scenario generated once, the fund walked once for the widest block, every
-// contract through the one-pass kernel — yields exactly the Y1 the per-block
-// schedule walk yields.
+// TestJobWalkMatchesPerBlockReference is the contract of the fusion and of
+// the kernel together: walking a job's blocks at once — each scenario
+// generated once, the fund walked once for the widest block, every contract
+// through the compiled kernel — yields the Y1 the per-block schedule walk
+// yields, within referenceTolerance (the kernel is an algebraic rewrite of
+// the schedule; the fusion itself moves no bit, which
+// TestSingleBlockValuerIsTheOneBlockJob holds bitwise).
 func TestJobWalkMatchesPerBlockReference(t *testing.T) {
 	const seed = 2016
 	for bi, spec := range policy.ItalianCompanySpecs() {
@@ -233,6 +267,7 @@ func TestJobWalkMatchesPerBlockReference(t *testing.T) {
 		}
 		requireJobMatchesReference(t, eeb.TypeB(blocks), 2024, 0, 9)
 	})
+	t.Logf("worst |walk - reference| / |reference| = %.3g (%.1f ulp)", worstReferenceGap, worstReferenceGap/0x1p-52)
 }
 
 // TestSingleBlockValuerIsTheOneBlockJob checks the N = 1 case through the
@@ -275,11 +310,13 @@ func TestSingleBlockValuerIsTheOneBlockJob(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range want {
-			if alone[i] != want[i] || joint[bi][i] != want[i] {
+			// Bitwise: a block alone and the block in its job. Algebraic: either
+			// against the schedule reference.
+			if alone[i] != joint[bi][i] || !withinReference(alone[i], want[i]) {
 				t.Fatalf("block %s outer %d: alone %v, in its job %v, reference %v", b.ID, i, alone[i], joint[bi][i], want[i])
 			}
 		}
-		if scattered[0] != want[5] || scattered[1] != want[0] || scattered[2] != want[7] || one != want[5] {
+		if scattered[0] != alone[5] || scattered[1] != alone[0] || scattered[2] != alone[7] || one != alone[5] {
 			t.Fatalf("block %s: ValueOuters/ValueOuter drifted from the range walk", b.ID)
 		}
 		res, err := v.Assemble(alone)
@@ -353,7 +390,7 @@ func jobWalkBook(b *testing.B) []*eeb.Block {
 // walking them one after another, on the daemon's default book. per-block is
 // the N = 1 walk per block (the shape grid.RunSequential keeps as the
 // reference); job is the fused walk grid.Master and the cluster scatter.
-// BENCH_pr21.json pins both; TestValuationHotPathBenchSmoke gates them.
+// BENCH_pr22.json pins both; TestValuationHotPathBenchSmoke gates them.
 func BenchmarkJobWalk(b *testing.B) {
 	b.Run("per-block", benchmarkPerBlockWalk)
 	b.Run("job", benchmarkJobWalk)

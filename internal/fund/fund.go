@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"disarcloud/internal/stochastic"
 )
@@ -76,23 +77,24 @@ type Config struct {
 }
 
 // Validate reports whether the fund configuration is admissible against the
-// given market model (equity indices must exist).
+// given market model (equity indices must exist). Float guards are written
+// as "not inside the admissible range", so a NaN fails them.
 func (c Config) Validate(market stochastic.Config) error {
 	if len(c.Assets) == 0 {
 		return errors.New("fund: no assets")
 	}
 	total := 0.0
 	for i, a := range c.Assets {
-		if a.Weight < 0 {
+		if !(a.Weight >= 0) {
 			return fmt.Errorf("fund: asset %d has negative weight", i)
 		}
 		total += a.Weight
 		switch a.Kind {
 		case GovernmentBond, CorporateBond:
-			if a.Maturity <= 0 {
-				return fmt.Errorf("fund: bond asset %d needs positive maturity", i)
+			if !(a.Maturity > 0) || math.IsInf(a.Maturity, 1) {
+				return fmt.Errorf("fund: bond asset %d needs positive finite maturity", i)
 			}
-			if a.Kind == CorporateBond && (a.LossGivenDefault < 0 || a.LossGivenDefault > 1) {
+			if a.Kind == CorporateBond && !(a.LossGivenDefault >= 0 && a.LossGivenDefault <= 1) {
 				return fmt.Errorf("fund: asset %d LGD outside [0,1]", i)
 			}
 		case Equity:
@@ -108,13 +110,16 @@ func (c Config) Validate(market stochastic.Config) error {
 				i, a.Currency, len(market.Currencies))
 		}
 	}
-	if math.Abs(total-1) > 1e-9 {
+	if !(math.Abs(total-1) <= 1e-9) {
 		return fmt.Errorf("fund: weights sum to %v, want 1", total)
 	}
-	if c.SmoothingFraction < 0 || c.SmoothingFraction > 1 {
+	if math.IsNaN(c.TargetReturn) || math.IsInf(c.TargetReturn, 0) {
+		return errors.New("fund: target return must be finite")
+	}
+	if !(c.SmoothingFraction >= 0 && c.SmoothingFraction <= 1) {
 		return errors.New("fund: smoothing fraction outside [0,1]")
 	}
-	if c.MaxBuffer < 0 {
+	if !(c.MaxBuffer >= 0) {
 		return errors.New("fund: negative buffer cap")
 	}
 	return nil
@@ -124,30 +129,81 @@ func (c Config) Validate(market stochastic.Config) error {
 // number" characteristic parameter of the ML models.
 func (c Config) NumAssets() int { return len(c.Assets) }
 
-// Fund evaluates book-value return paths along scenarios.
+// Fund evaluates book-value return paths along scenarios. What does not
+// depend on the path is worked out once, in New:
+//
+// Bond sleeves fold into one bondLeg per denomination currency, so a bond
+// book costs one multiply-add chain per (path, year) however many sleeves it
+// is split into; equity sleeves each track their own index. The per-sleeve
+// form survives only as the test reference (fund_test.go): the same real
+// number associated differently, equal within rounding, not bit for bit
+// (DESIGN.md "Numerics policy").
+//
+// The grid index of year t depends on the scenario only through its grid,
+// and the scenarios a fund is built for share the market's: years holds
+// round(t/dt) for t = 0..Horizon, and a walk over a scenario whose Dt is dt
+// clamps that table to the scenario's length instead of rounding a division
+// per year per path (yearIndex). Nothing is remembered between walks: the
+// indices follow the (Dt, len(Rates)) of the scenario in hand.
 type Fund struct {
-	cfg  Config
-	rate stochastic.VasicekParams
-	// yields holds, per asset sleeve, the sleeve's zero-coupon curve point
-	// as an affine function of the short rate (bond kinds only): the bond
-	// leg is repriced once per simulated (path, year), so the hot loop pays
-	// a multiply-add there and no transcendental. It is the same function
-	// stochastic.ImpliedYield evaluates, so the walk and the scalar
-	// reference (localReturn) agree bit for bit.
-	yields []stochastic.YieldCache
+	cfg      Config
+	legs     []bondLeg
+	equities []Asset // the equity sleeves, in Config order
+	dt       float64 // the market's grid step, 1/StepsPerYear
+	years    []int   // unclamped grid index of year t on that grid
 }
 
-// New builds a fund evaluator. rate must be the same short-rate model used
-// to generate the scenarios the fund will be evaluated on.
+// bondLeg is the bond sleeves of one currency, weighted and summed. A rolling
+// sleeve of maturity M returns y_{t-1} - 0.85*M*(y_t - y_{t-1}) — carry plus
+// the price effect of the yield change over its duration — and a corporate
+// one (1.5 - LGD)*max(lambda_t, 0) on top, credit spread net of expected
+// loss; the yield is affine in the short rate (stochastic.YieldCache), so
+// the sum over sleeves is
+//
+//	k0 + k1*r_{t-1} - k2*(r_t - r_{t-1}) + kc*max(lambda_t, 0)
+//
+// with k0 = sum w*intercept, k1 = sum w*slope, k2 = sum w*0.85*M*slope, kc =
+// sum over corporate sleeves of w*(1.5 - LGD). A foreign leg compounds with
+// the currency index ratio x: sum w*((1+local)*x - 1) = (weight + leg)*x -
+// weight.
+type bondLeg struct {
+	currency       int     // 1-based index into Scenario.Currencies, 0 domestic
+	weight         float64 // sum of the sleeves' weights
+	k0, k1, k2, kc float64
+}
+
+// New builds a fund evaluator. market must be the model the scenarios the
+// fund will be evaluated on are generated from: its short rate prices the
+// bond sleeves and its time grid is the one the year table is built for.
 func New(cfg Config, market stochastic.Config) (*Fund, error) {
 	if err := cfg.Validate(market); err != nil {
 		return nil, err
 	}
-	f := &Fund{cfg: cfg, rate: market.Rate, yields: make([]stochastic.YieldCache, len(cfg.Assets))}
-	for i, a := range cfg.Assets {
-		if a.Kind == GovernmentBond || a.Kind == CorporateBond {
-			f.yields[i] = stochastic.NewYieldCache(market.Rate, a.Maturity)
+	f := &Fund{cfg: cfg, dt: 1.0 / float64(market.StepsPerYear)}
+	for _, a := range cfg.Assets {
+		if a.Kind == Equity {
+			f.equities = append(f.equities, a)
+			continue
 		}
+		li := slices.IndexFunc(f.legs, func(l bondLeg) bool { return l.currency == a.Currency })
+		if li < 0 {
+			li = len(f.legs)
+			f.legs = append(f.legs, bondLeg{currency: a.Currency})
+		}
+		leg := &f.legs[li]
+		intercept, slope := stochastic.NewYieldCache(market.Rate, a.Maturity).Affine()
+		leg.weight += a.Weight
+		leg.k0 += a.Weight * intercept
+		leg.k1 += a.Weight * slope
+		leg.k2 += a.Weight * 0.85 * a.Maturity * slope
+		if a.Kind == CorporateBond {
+			leg.kc += a.Weight * (1.5 - a.LossGivenDefault)
+		}
+	}
+	// Scenario.IndexOfYear's own expression, before it clamps.
+	f.years = make([]int, max(market.Horizon, 0)+1)
+	for t := range f.years {
+		f.years[t] = int(math.Round(float64(t) / f.dt))
 	}
 	return f, nil
 }
@@ -161,114 +217,78 @@ func (f *Fund) MarketReturns(s *stochastic.Scenario, years int) []float64 {
 	return f.MarketReturnsInto(s, years, make([]float64, years), make([]int, years+1))
 }
 
+// yearIndex fills every idx[t] with the scenario's grid index of year t: the
+// compiled table clamped to the scenario's length where the scenario is on
+// the market's grid, Scenario.IndexOfYear past the table and on other grids.
+func (f *Fund) yearIndex(s *stochastic.Scenario, idx []int) {
+	t := 0
+	if s.Dt == f.dt {
+		last := len(s.Rates) - 1
+		for ; t < len(idx) && t < len(f.years); t++ {
+			idx[t] = min(f.years[t], last)
+		}
+	}
+	for ; t < len(idx); t++ {
+		idx[t] = s.IndexOfYear(float64(t))
+	}
+}
+
 // MarketReturnsInto is MarketReturns writing into caller-owned buffers: out
 // must hold years values and idx years+1 grid indices; on return idx[t] is
 // the scenario's grid index of year t, for t = 0..years. It is the valuation
-// hot loop's entry point — called once per inner path — so it walks the
-// assets in the outer loop and carries the per-asset state that consecutive
-// years share: the yield at year t-1 IS the yield computed for year t-2's
-// revaluation, so each bond sleeve prices one zero-coupon curve point per
-// year instead of two, and each index sleeve reads each grid level once.
-// Carried values are reused results of the exact same pure-function calls,
-// and per-year contributions accumulate in the same asset order, so the
-// output is bit-identical to the one-asset-at-a-time form.
+// hot loop's entry point — called once per inner path — and does per (path,
+// year) only what depends on the path: one affine leg per bond currency, one
+// level ratio per equity sleeve, each grid value read once and carried to
+// the next year.
 func (f *Fund) MarketReturnsInto(s *stochastic.Scenario, years int, out []float64, idx []int) []float64 {
 	out = out[:years]
 	clear(out)
 	idx = idx[:years+1]
-	for t := 0; t <= years; t++ {
-		idx[t] = s.IndexOfYear(float64(t))
+	f.yearIndex(s, idx)
+	rates, credit := s.Rates, s.Credit
+	for _, leg := range f.legs {
+		var fxPath []float64
+		var fx0 float64
+		if leg.currency != 0 {
+			fxPath = s.Currencies[leg.currency-1]
+			fx0 = fxPath[idx[0]]
+		}
+		r0 := rates[idx[0]]
+		for t := 1; t <= years; t++ {
+			g := idx[t]
+			r1 := rates[g]
+			ret := leg.k0 + leg.k1*r0 - leg.k2*(r1-r0) + leg.kc*max(credit[g], 0)
+			r0 = r1
+			if fxPath != nil {
+				fx1 := fxPath[g]
+				ret = (leg.weight+ret)*(fx1/fx0) - leg.weight
+				fx0 = fx1
+			}
+			out[t-1] += ret
+		}
 	}
-	for ai, a := range f.cfg.Assets {
+	for _, a := range f.equities {
 		var fxPath []float64
 		var fx0 float64
 		if a.Currency != 0 {
 			fxPath = s.Currencies[a.Currency-1]
 			fx0 = fxPath[idx[0]]
 		}
-		switch a.Kind {
-		case Equity:
-			path := s.Equities[a.EquityIndex]
-			p0 := path[idx[0]]
-			for t := 1; t <= years; t++ {
-				p1 := path[idx[t]]
-				local := p1/p0 - 1
-				p0 = p1
-				ret := local
-				if fxPath != nil {
-					fx1 := fxPath[idx[t]]
-					ret = (1+local)*(fx1/fx0) - 1
-					fx0 = fx1
-				}
-				out[t-1] += a.Weight * ret
+		path := s.Equities[a.EquityIndex]
+		p0 := path[idx[0]]
+		for t := 1; t <= years; t++ {
+			p1 := path[idx[t]]
+			ret := p1/p0 - 1
+			p0 = p1
+			if fxPath != nil {
+				fx1 := fxPath[idx[t]]
+				ret = (1+ret)*(fx1/fx0) - 1
+				fx0 = fx1
 			}
-		case GovernmentBond, CorporateBond:
-			duration := 0.85 * a.Maturity
-			curve := f.yields[ai]
-			y0 := curve.Yield(s.Rates[idx[0]])
-			for t := 1; t <= years; t++ {
-				y1 := curve.Yield(s.Rates[idx[t]])
-				local := y0 - duration*(y1-y0)
-				y0 = y1
-				if a.Kind == CorporateBond {
-					lambda := max(s.Credit[idx[t]], 0)
-					local += 1.5*lambda - a.LossGivenDefault*lambda
-				}
-				ret := local
-				if fxPath != nil {
-					fx1 := fxPath[idx[t]]
-					ret = (1+local)*(fx1/fx0) - 1
-					fx0 = fx1
-				}
-				out[t-1] += a.Weight * ret
-			}
+			out[t-1] += a.Weight * ret
 		}
 	}
 	return out
-}
-
-// assetReturn is the market return of one sleeve over year [t-1, t], in
-// domestic terms: foreign sleeves compound the local return with the
-// currency index return. It is the reference implementation the carried
-// state of MarketReturnsInto is tested against (bit-identity), kept out of
-// the hot loop because it reprices the curve point at both endpoints of
-// every year.
-func (f *Fund) assetReturn(a Asset, s *stochastic.Scenario, t int) float64 {
-	local := f.localReturn(a, s, t)
-	if a.Currency == 0 {
-		return local
-	}
-	fx0 := s.Currencies[a.Currency-1][s.IndexOfYear(float64(t-1))]
-	fx1 := s.Currencies[a.Currency-1][s.IndexOfYear(float64(t))]
-	return (1+local)*(fx1/fx0) - 1
-}
-
-// localReturn is the sleeve's return in its own denomination currency.
-func (f *Fund) localReturn(a Asset, s *stochastic.Scenario, t int) float64 {
-	switch a.Kind {
-	case Equity:
-		p0 := s.Equities[a.EquityIndex][s.IndexOfYear(float64(t-1))]
-		p1 := s.Equities[a.EquityIndex][s.IndexOfYear(float64(t))]
-		return p1/p0 - 1
-	case GovernmentBond, CorporateBond:
-		// Rolling bond sleeve: carry at last year's yield plus the price
-		// effect of the yield change over a duration of ~0.85*maturity.
-		r0 := s.RateAtYear(float64(t - 1))
-		r1 := s.RateAtYear(float64(t))
-		y0 := stochastic.ImpliedYield(f.rate, r0, a.Maturity)
-		y1 := stochastic.ImpliedYield(f.rate, r1, a.Maturity)
-		duration := 0.85 * a.Maturity
-		ret := y0 - duration*(y1-y0)
-		if a.Kind == CorporateBond {
-			// Credit carry spread minus expected default loss at the
-			// prevailing intensity.
-			lambda := max(s.Credit[s.IndexOfYear(float64(t))], 0)
-			ret += 1.5*lambda - a.LossGivenDefault*lambda
-		}
-		return ret
-	default:
-		return 0
-	}
 }
 
 // Returns computes the BOOK-value return path I_1..I_years of Eq. (4) along
@@ -322,12 +342,13 @@ func TypicalItalianFund(numAssets int, market stochastic.Config) Config {
 		numAssets = 3
 	}
 	assets := make([]Asset, 0, numAssets)
-	// One equity sleeve per available index, round-robin; the rest bonds
-	// with laddered maturities, 70/30 government/corporate.
+	// One equity sleeve per available index, round-robin (none, and the
+	// bonds take the whole weight, in a market with no index); the rest
+	// bonds with laddered maturities, 70/30 government/corporate.
 	nEq := len(market.Equities)
-	equitySleeves := numAssets / 4
-	if equitySleeves < 1 && nEq > 0 {
-		equitySleeves = 1
+	equitySleeves := 0
+	if nEq > 0 {
+		equitySleeves = max(numAssets/4, 1)
 	}
 	bondSleeves := numAssets - equitySleeves
 	eqWeight := 0.15

@@ -56,6 +56,15 @@ func TestConfigValidate(t *testing.T) {
 		{"bad smoothing", func(c *Config) { c.SmoothingFraction = 1.5 }},
 		{"negative buffer", func(c *Config) { c.MaxBuffer = -0.1 }},
 		{"unknown kind", func(c *Config) { c.Assets[0].Kind = 0 }},
+		{"NaN weight", func(c *Config) { c.Assets[0].Weight = math.NaN() }},
+		{"+Inf weight", func(c *Config) { c.Assets[0].Weight = math.Inf(1) }},
+		{"NaN maturity", func(c *Config) { c.Assets[0].Maturity = math.NaN() }},
+		{"+Inf maturity", func(c *Config) { c.Assets[0].Maturity = math.Inf(1) }},
+		{"NaN LGD", func(c *Config) { c.Assets[1].LossGivenDefault = math.NaN() }},
+		{"NaN target", func(c *Config) { c.TargetReturn = math.NaN() }},
+		{"-Inf target", func(c *Config) { c.TargetReturn = math.Inf(-1) }},
+		{"NaN smoothing", func(c *Config) { c.SmoothingFraction = math.NaN() }},
+		{"NaN buffer", func(c *Config) { c.MaxBuffer = math.NaN() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -180,6 +189,24 @@ func TestTypicalItalianFundValid(t *testing.T) {
 	if got := TypicalItalianFund(1, market).NumAssets(); got != 3 {
 		t.Fatalf("clamp failed: %d assets", got)
 	}
+	// A market with no equity index (this used to divide by zero from 4
+	// sleeves up): no equity sleeves, the bonds carry the whole weight.
+	bondsOnly := market
+	bondsOnly.Equities = nil
+	for _, n := range []int{3, 4, 8, 20} {
+		cfg := TypicalItalianFund(n, bondsOnly)
+		if err := cfg.Validate(bondsOnly); err != nil {
+			t.Fatalf("TypicalItalianFund(%d) on an equity-free market: %v", n, err)
+		}
+		if cfg.NumAssets() != n {
+			t.Fatalf("TypicalItalianFund(%d) on an equity-free market has %d assets", n, cfg.NumAssets())
+		}
+		for _, a := range cfg.Assets {
+			if a.Kind == Equity {
+				t.Fatalf("TypicalItalianFund(%d) has an equity sleeve with no index to track", n)
+			}
+		}
+	}
 }
 
 func TestAssetKindString(t *testing.T) {
@@ -286,72 +313,174 @@ func TestForeignSleeveCompoundsFX(t *testing.T) {
 	}
 }
 
-// TestMarketReturnsIntoMatchesReference pins the hot-loop fund walk (asset-
-// major order, carried yields/levels, cached curve constants) against the
-// reference per-(year, asset) evaluation: same bits, including corporate
-// credit adjustments and foreign-denominated sleeves, and no drift from the
-// buffer-reusing entry points.
+// assetReturn is the market return of one sleeve over year [t-1, t], in
+// domestic terms — the per-sleeve form Fund's compiled bond leg folds. It is
+// the algebraic reference of the walk: it prices the sleeve's own curve point
+// at both ends of every year and looks every grid index up by rounding.
+func assetReturn(rate stochastic.VasicekParams, a Asset, s *stochastic.Scenario, t int) float64 {
+	i0, i1 := s.IndexOfYear(float64(t-1)), s.IndexOfYear(float64(t))
+	var local float64
+	switch a.Kind {
+	case Equity:
+		local = s.Equities[a.EquityIndex][i1]/s.Equities[a.EquityIndex][i0] - 1
+	case GovernmentBond, CorporateBond:
+		// Rolling bond sleeve: carry at last year's yield plus the price
+		// effect of the yield change over a duration of ~0.85*maturity.
+		y0 := stochastic.ImpliedYield(rate, s.Rates[i0], a.Maturity)
+		y1 := stochastic.ImpliedYield(rate, s.Rates[i1], a.Maturity)
+		local = y0 - 0.85*a.Maturity*(y1-y0)
+		if a.Kind == CorporateBond {
+			// Credit carry spread minus expected default loss at the
+			// prevailing intensity.
+			lambda := max(s.Credit[i1], 0)
+			local += 1.5*lambda - a.LossGivenDefault*lambda
+		}
+	}
+	if a.Currency == 0 {
+		return local
+	}
+	fx := s.Currencies[a.Currency-1]
+	return (1+local)*(fx[i1]/fx[i0]) - 1
+}
+
+// TestMarketReturnsIntoMatchesReference holds the compiled walk (one affine
+// leg per bond currency, carried levels, the year table) to the per-(year,
+// sleeve) reference. The two are the same real number associated
+// differently, so the comparison is algebraic — 1e-15 absolute on returns of
+// order 1e-2, a handful of ulp — while everything the walk promises about
+// itself stays bitwise: buffered == allocating, and a longer walk extends a
+// shorter one.
 func TestMarketReturnsIntoMatchesReference(t *testing.T) {
 	m := testMarket()
-	m.Currencies = []stochastic.GBMParams{{S0: 1.1, Mu: 0.01, Sigma: 0.08}}
-	cfg := Config{
-		Name: "ref",
-		Assets: []Asset{
-			{Kind: GovernmentBond, Weight: 0.35, Maturity: 5},
-			{Kind: CorporateBond, Weight: 0.25, Maturity: 7, LossGivenDefault: 0.6},
-			{Kind: CorporateBond, Weight: 0.15, Maturity: 3, LossGivenDefault: 0.4, Currency: 1},
-			{Kind: Equity, Weight: 0.15, EquityIndex: 0},
-			{Kind: Equity, Weight: 0.10, EquityIndex: 1, Currency: 1},
+	m.Currencies = []stochastic.GBMParams{{S0: 1.1, Mu: 0.01, Sigma: 0.08}, {S0: 0.9, Mu: 0, Sigma: 0.11}}
+	funds := []Config{
+		TypicalItalianFund(6, m),
+		{
+			Name: "foreign",
+			Assets: []Asset{
+				{Kind: GovernmentBond, Weight: 0.30, Maturity: 5},
+				{Kind: CorporateBond, Weight: 0.20, Maturity: 7, LossGivenDefault: 0.6},
+				{Kind: CorporateBond, Weight: 0.15, Maturity: 3, LossGivenDefault: 0.4, Currency: 1},
+				{Kind: GovernmentBond, Weight: 0.10, Maturity: 9, Currency: 2},
+				{Kind: GovernmentBond, Weight: 0.05, Maturity: 2, Currency: 1},
+				{Kind: Equity, Weight: 0.10, EquityIndex: 0},
+				{Kind: Equity, Weight: 0.10, EquityIndex: 1, Currency: 1},
+			},
+			TargetReturn: 0.02, SmoothingFraction: 0.5, MaxBuffer: 0.08,
 		},
-		TargetReturn:      0.02,
-		SmoothingFraction: 0.5,
-		MaxBuffer:         0.08,
-	}
-	f, err := New(cfg, m)
-	if err != nil {
-		t.Fatal(err)
+		{
+			Name: "no-corporate",
+			Assets: []Asset{
+				{Kind: GovernmentBond, Weight: 0.6, Maturity: 4},
+				{Kind: GovernmentBond, Weight: 0.3, Maturity: 10},
+				{Kind: Equity, Weight: 0.1, EquityIndex: 1},
+			},
+			TargetReturn: 0.02, SmoothingFraction: 0.5, MaxBuffer: 0.08,
+		},
 	}
 	gen, err := stochastic.NewGenerator(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := finmath.NewRNG(11)
 	const years = 25
-	for rep := 0; rep < 20; rep++ {
-		s := gen.Generate(rng, stochastic.RealWorld)
-		got := f.MarketReturnsInto(s, years, make([]float64, years), make([]int, years+1))
-		for yr := 1; yr <= years; yr++ {
-			want := 0.0
-			for _, a := range cfg.Assets {
-				want += a.Weight * f.assetReturn(a, s, yr)
+	for _, cfg := range funds {
+		t.Run(cfg.Name, func(t *testing.T) {
+			f, err := New(cfg, m)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got[yr-1] != want {
-				t.Fatalf("rep %d year %d: hot-loop return %v != reference %v (bit drift)", rep, yr, got[yr-1], want)
-			}
-		}
-		// The buffered credited-return walk must match the allocating one.
-		book := f.Returns(s, years)
-		into := f.ReturnsInto(s, years, make([]float64, years), make([]float64, years), make([]int, years+1))
-		for k := range book {
-			if book[k] != into[k] {
-				t.Fatalf("credited return %d drifted between Returns and ReturnsInto", k)
-			}
-		}
-		// A longer walk extends a shorter one without changing it (the job
-		// walk prices the widest block's horizon once for every block), and
-		// leaves the years' grid indices behind for the discount lookup.
-		for _, short := range []int{0, 1, 12} {
-			idx := make([]int, short+1)
-			prefix := f.ReturnsInto(s, short, make([]float64, short), make([]float64, short), idx)
-			for k := range prefix {
-				if prefix[k] != book[k] {
-					t.Fatalf("rep %d: year %d of a %d-year walk is %v, of the %d-year walk %v",
-						rep, k+1, short, prefix[k], years, book[k])
+			rng := finmath.NewRNG(11)
+			worst := 0.0
+			for rep := 0; rep < 20; rep++ {
+				s := gen.Generate(rng, stochastic.RealWorld)
+				got := f.MarketReturnsInto(s, years, make([]float64, years), make([]int, years+1))
+				for yr := 1; yr <= years; yr++ {
+					want := 0.0
+					for _, a := range cfg.Assets {
+						want += a.Weight * assetReturn(m.Rate, a, s, yr)
+					}
+					worst = max(worst, math.Abs(got[yr-1]-want))
+					if !(math.Abs(got[yr-1]-want) <= 1e-15) {
+						t.Fatalf("rep %d year %d: compiled return %v, per-sleeve reference %v", rep, yr, got[yr-1], want)
+					}
+				}
+				// The buffered credited-return walk must match the allocating one.
+				book := f.Returns(s, years)
+				into := f.ReturnsInto(s, years, make([]float64, years), make([]float64, years), make([]int, years+1))
+				for k := range book {
+					if book[k] != into[k] {
+						t.Fatalf("credited return %d drifted between Returns and ReturnsInto", k)
+					}
+				}
+				// A longer walk extends a shorter one without changing it (the job
+				// walk prices the widest block's horizon once for every block), and
+				// leaves the years' grid indices behind for the discount lookup.
+				for _, short := range []int{0, 1, 12} {
+					idx := make([]int, short+1)
+					prefix := f.ReturnsInto(s, short, make([]float64, short), make([]float64, short), idx)
+					for k := range prefix {
+						if prefix[k] != book[k] {
+							t.Fatalf("rep %d: year %d of a %d-year walk is %v, of the %d-year walk %v",
+								rep, k+1, short, prefix[k], years, book[k])
+						}
+					}
+					for yr, i := range idx {
+						if i != s.IndexOfYear(float64(yr)) {
+							t.Fatalf("idx[%d] = %d after the walk, want grid index %d", yr, i, s.IndexOfYear(float64(yr)))
+						}
+					}
 				}
 			}
-			for yr, i := range idx {
+			t.Logf("worst |compiled - per-sleeve| = %.3g", worst)
+		})
+	}
+}
+
+// TestYearTableFollowsTheScenario walks ONE set of buffers over scenarios on
+// different grids, one after another: the market's own annual grid (the
+// compiled table), a quarterly grid (not the fund's: indexed year by year),
+// an annual scenario shorter than the years asked for (the table clamped to
+// the scenario's last point), and years beyond the market's horizon. Every
+// walk equals, bit for bit, the same walk into fresh buffers and by a fund
+// compiled for that scenario's own grid, and idx is IndexOfYear's — the grid
+// indices come from the scenario in hand, never from the one walked before.
+func TestYearTableFollowsTheScenario(t *testing.T) {
+	annual := testMarket()
+	quarterly := testMarket()
+	quarterly.StepsPerYear = 4
+	short := testMarket()
+	short.Horizon = 8
+	gens := map[string]stochastic.Config{"annual": annual, "quarterly": quarterly, "short": short}
+	cfg := TypicalItalianFund(6, annual)
+	f, err := New(cfg, annual)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const years = 34 // beyond every horizon above
+	out, market, idx := make([]float64, years), make([]float64, years), make([]int, years+1)
+	for rep, grid := range []string{"annual", "quarterly", "short", "annual", "short", "quarterly"} {
+		gen, err := stochastic.NewGenerator(gens[grid])
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, err := New(cfg, gens[grid])
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := gen.Generate(finmath.NewRNG(uint64(40+rep)), stochastic.RiskNeutral)
+		for _, n := range []int{years, 5} {
+			got := f.ReturnsInto(s, n, out, market, idx)
+			for yr, i := range idx[:n+1] {
 				if i != s.IndexOfYear(float64(yr)) {
-					t.Fatalf("idx[%d] = %d after the walk, want grid index %d", yr, i, s.IndexOfYear(float64(yr)))
+					t.Fatalf("%s grid, %d years: idx[%d] = %d, want %d", grid, n, yr, i, s.IndexOfYear(float64(yr)))
+				}
+			}
+			fresh := f.Returns(s, n)
+			native := own.Returns(s, n)
+			for k := range fresh {
+				if math.Float64bits(got[k]) != math.Float64bits(fresh[k]) || math.Float64bits(got[k]) != math.Float64bits(native[k]) {
+					t.Fatalf("%s grid, %d years: year %d reused buffers %v, fresh %v, grid's own fund %v",
+						grid, n, k+1, got[k], fresh[k], native[k])
 				}
 			}
 		}
@@ -359,9 +488,10 @@ func TestMarketReturnsIntoMatchesReference(t *testing.T) {
 }
 
 // BenchmarkFundReturns measures one credited-return walk at the campaign
-// workload's shape: the 6-sleeve fund (1 equity + 5 bond sleeves) over a
-// 25-year inner path, i.e. 130 curve points, into caller-owned buffers.
-// BENCH_pr21.json pins it; TestFundReturnsBenchSmoke gates it.
+// workload's shape: the 6-sleeve fund (1 equity + 5 bond sleeves, which
+// compile to one equity walk and one bond leg) over a 25-year inner path,
+// into caller-owned buffers. BENCH_pr22.json pins it;
+// TestFundReturnsBenchSmoke gates it.
 func BenchmarkFundReturns(b *testing.B) {
 	const years = 25
 	m := testMarket()
@@ -384,11 +514,12 @@ func BenchmarkFundReturns(b *testing.B) {
 
 var benchSink []float64
 
-// TestFundReturnsBenchSmoke holds the fund walk to BENCH_pr21.json: 0
-// allocs/op exactly; ns/op warns at >20% and fails at >2x. A Log and an Exp
-// back in the per-(path, sleeve, year) loop read about 9x on this row.
+// TestFundReturnsBenchSmoke holds the fund walk to BENCH_pr22.json: 0
+// allocs/op exactly; ns/op warns at >20% and fails at >2x. Walking the five
+// bond sleeves one by one and rounding a division per year reads about 2.6x
+// on this row, a Log and an Exp per curve point about 25x.
 func TestFundReturnsBenchSmoke(t *testing.T) {
-	benchgate.Run(t, "../../BENCH_pr21.json", []benchgate.Row{
+	benchgate.Run(t, "../../BENCH_pr22.json", []benchgate.Row{
 		{Name: "BenchmarkFundReturns", Bench: BenchmarkFundReturns},
 	})
 }

@@ -3,6 +3,7 @@ package policy
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"disarcloud/internal/actuarial"
 )
@@ -66,7 +67,9 @@ type Contract struct {
 	PenaltyYears int
 }
 
-// Validate reports whether the contract parameters are admissible.
+// Validate reports whether the contract parameters are admissible. Every
+// float guard is written as "not inside the admissible range", so a NaN
+// fails it; the two unbounded ranges reject +Inf by name.
 func (c Contract) Validate() error {
 	if c.Kind < PureEndowment || c.Kind > Annuity {
 		return fmt.Errorf("policy: unknown contract kind %d", int(c.Kind))
@@ -77,19 +80,19 @@ func (c Contract) Validate() error {
 	if c.Term <= 0 {
 		return errors.New("policy: term must be positive")
 	}
-	if c.InsuredSum <= 0 {
-		return errors.New("policy: insured sum must be positive")
+	if !(c.InsuredSum > 0) || math.IsInf(c.InsuredSum, 1) {
+		return errors.New("policy: insured sum must be positive and finite")
 	}
-	if c.Beta <= 0 || c.Beta >= 1 {
+	if !(c.Beta > 0 && c.Beta < 1) {
 		return errors.New("policy: participation coefficient must be in (0,1)")
 	}
-	if c.TechnicalRate < 0 {
-		return errors.New("policy: technical rate must be non-negative")
+	if !(c.TechnicalRate >= 0) || math.IsInf(c.TechnicalRate, 1) {
+		return errors.New("policy: technical rate must be non-negative and finite")
 	}
 	if c.Count <= 0 {
 		return errors.New("policy: representative count must be positive")
 	}
-	if c.Penalty < 0 || c.Penalty > 1 {
+	if !(c.Penalty >= 0 && c.Penalty <= 1) {
 		return errors.New("policy: penalty must be in [0,1]")
 	}
 	if c.PenaltyYears < 0 {

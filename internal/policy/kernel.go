@@ -7,23 +7,31 @@ import (
 )
 
 // Kernel is a Contract compiled, together with its decrement table, for the
-// valuation hot loop: everything that does not depend on the simulated path
-// is worked out once, so that the per-(contract, path) work is one pass over
-// the policy years with no schedule arrays and no struct copies.
+// valuation hot loop. The probability-weighted benefit of every kind is
+// linear in the revalued sum C_t = C_0 * Phi_t, and what multiplies C_t —
+// multiplicity, decrement probabilities, surrender factor, the maturity
+// payment — does not depend on the simulated path, so Compile folds all of it
+// into one weight per policy year:
+//
+//	Endowment      w[t] = m * (qd[t] + ql[t]*sf[t])
+//	PureEndowment  w[t] = m * ql[t]*sf[t]
+//	TermInsurance,
+//	WholeLife      w[t] = m * qd[t]
+//	Annuity        w[t] = m * p[t]
+//
+// with m = Count * InsuredSum, and the endowment kinds adding m * p[T-1] to
+// w[T-1]. Eq. (3)'s yearly factor 1 + (max(beta*I, i) - i)/(1+i) is
+// max(a*I + k, 1) with a = beta/(1+i), k = 1/(1+i). PresentValue is then one
+// kind-free pass over the policy years.
 //
 // Contract.FlowsInto remains the public decomposition (benefit amounts per
-// decrement cause, unweighted); PresentValue is that schedule weighted by the
-// decrement probabilities and discounted, bit for bit — see PresentValue.
+// decrement cause, unweighted) and the reference PresentValue is tested
+// against: the two are the same real number written with different
+// associations, equal within a few ulp, not bit for bit (DESIGN.md "Numerics
+// policy").
 type Kernel struct {
-	kind Kind
-	term int
-
-	sum, beta, technical float64
-	onePlusTechnical     float64 // 1 + i, the divisor of Eq. (3)
-	mult                 float64 // float64(Count)
-
-	surrender             []float64 // SurrenderFactor(k+1) per policy year
-	death, lapse, inForce []float64 // decrement columns, Term values each
+	a, k float64   // Eq. (3) as max(a*I + k, 1)
+	w    []float64 // per policy year; its length is the term
 }
 
 // Compile prepares the contract for PresentValue on the given decrement
@@ -35,32 +43,24 @@ func (c Contract) Compile(dec *actuarial.DecrementTable) (Kernel, error) {
 	if dec == nil || len(dec.Death) < c.Term || len(dec.Lapse) < c.Term || len(dec.InForce) < c.Term {
 		return Kernel{}, fmt.Errorf("policy: decrement table shorter than term %d", c.Term)
 	}
-	k := Kernel{
-		kind:             c.Kind,
-		term:             c.Term,
-		sum:              c.InsuredSum,
-		beta:             c.Beta,
-		technical:        c.TechnicalRate,
-		onePlusTechnical: 1 + c.TechnicalRate,
-		mult:             float64(c.Count),
-		surrender:        make([]float64, c.Term),
-		death:            dec.Death[:c.Term],
-		lapse:            dec.Lapse[:c.Term],
-		inForce:          dec.InForce[:c.Term],
+	m := float64(c.Count) * c.InsuredSum
+	w := make([]float64, c.Term)
+	for t := range w {
+		switch c.Kind {
+		case Endowment:
+			w[t] = m * (dec.Death[t] + dec.Lapse[t]*c.SurrenderFactor(t+1))
+		case PureEndowment:
+			w[t] = m * (dec.Lapse[t] * c.SurrenderFactor(t+1))
+		case TermInsurance, WholeLife:
+			w[t] = m * dec.Death[t]
+		case Annuity:
+			w[t] = m * dec.InForce[t]
+		}
 	}
-	for t := range k.surrender {
-		k.surrender[t] = c.SurrenderFactor(t + 1)
+	if c.Kind == Endowment || c.Kind == PureEndowment {
+		w[c.Term-1] += m * dec.InForce[c.Term-1]
 	}
-	return k, nil
-}
-
-// revalued applies one year of Eq. (5), C_t = C_{t-1} (1 + rho_t), with
-// ReadjustmentRate's operations in ReadjustmentRate's order, division
-// included. The max of Eq. (3) is the language built-in, which orders signed
-// zeros and propagates NaN exactly as math.Max does but compiles inline, so
-// no assembly call is paid per policy year.
-func revalued(c, beta, technical, onePlusTechnical, fundReturn float64) float64 {
-	return c * (1 + (max(beta*fundReturn, technical)-technical)/onePlusTechnical)
+	return Kernel{a: c.Beta / (1 + c.TechnicalRate), k: 1 / (1 + c.TechnicalRate), w: w}, nil
 }
 
 // PresentValue returns the contract's probability-weighted, discounted
@@ -68,49 +68,18 @@ func revalued(c, beta, technical, onePlusTechnical, fundReturn float64) float64 
 // policy year t+1 and disc[t] the discount factor of a payment at the end of
 // that year; both must hold at least Term values.
 //
-// The result equals, bit for bit on finite inputs, weighting the FlowsInto
-// schedule year by year,
-//
-//	pv += disc[t] * (qd[t]*Death[t] + ql[t]*Surrender[t] + p[t]*Survival[t])
-//
-// plus disc[T-1]*p[T-1]*Maturity: each kind fills at most two of the three
-// schedules, the terms left out here are a finite non-negative probability
-// times an exact +0 entry, x + 0 == x, and every product that remains keeps
-// the association it has there.
-func (k *Kernel) PresentValue(returns, disc []float64) float64 {
-	n := k.term
-	returns, disc = returns[:n], disc[:n]
-	beta, tech, onePlus, mult := k.beta, k.technical, k.onePlusTechnical, k.mult
-	c, pv := k.sum, 0.0
-	switch k.kind {
-	case Endowment:
-		death, lapse, sf := k.death[:n], k.lapse[:n], k.surrender[:n]
-		for t, it := range returns {
-			c = revalued(c, beta, tech, onePlus, it)
-			m := mult * c
-			pv += disc[t] * (death[t]*m + lapse[t]*(m*sf[t]))
-		}
-		pv += disc[n-1] * k.inForce[n-1] * (mult * c)
-	case PureEndowment:
-		lapse, sf := k.lapse[:n], k.surrender[:n]
-		for t, it := range returns {
-			c = revalued(c, beta, tech, onePlus, it)
-			m := mult * c
-			pv += disc[t] * (lapse[t] * (m * sf[t]))
-		}
-		pv += disc[n-1] * k.inForce[n-1] * (mult * c)
-	case TermInsurance, WholeLife:
-		death := k.death[:n]
-		for t, it := range returns {
-			c = revalued(c, beta, tech, onePlus, it)
-			pv += disc[t] * (death[t] * (mult * c))
-		}
-	case Annuity:
-		inForce := k.inForce[:n]
-		for t, it := range returns {
-			c = revalued(c, beta, tech, onePlus, it)
-			pv += disc[t] * (inForce[t] * (mult * c))
-		}
+// g is the cumulative readjustment factor Phi_t of Eq. (2). The max is the
+// language built-in, which orders signed zeros and propagates NaN exactly as
+// math.Max does but compiles inline: a year below the guarantee leaves g
+// untouched, exactly, and a NaN or +Inf return poisons every later year as
+// it does in RevaluedSumsInto.
+func (kn *Kernel) PresentValue(returns, disc []float64) float64 {
+	a, k, w := kn.a, kn.k, kn.w
+	returns, disc = returns[:len(w)], disc[:len(w)]
+	g, pv := 1.0, 0.0
+	for t, it := range returns {
+		g *= max(a*it+k, 1)
+		pv += disc[t] * g * w[t]
 	}
 	return pv
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"disarcloud/internal/actuarial"
+	"disarcloud/internal/benchgate"
 	"disarcloud/internal/finmath"
 )
 
@@ -29,7 +30,7 @@ func referencePresentValue(t *testing.T, c Contract, dec *actuarial.DecrementTab
 	return pv
 }
 
-func testDecrements(t *testing.T, c Contract) *actuarial.DecrementTable {
+func testDecrements(t testing.TB, c Contract) *actuarial.DecrementTable {
 	t.Helper()
 	eng, err := actuarial.NewEngine(actuarial.ForGender(c.Gender),
 		actuarial.DurationLapse{Initial: 0.06, Ultimate: 0.015, Decay: 0.75})
@@ -43,9 +44,38 @@ func testDecrements(t *testing.T, c Contract) *actuarial.DecrementTable {
 	return dec
 }
 
-// TestKernelMatchesFlowSchedule holds the one-pass kernel to the schedule
-// decomposition bit for bit, over every contract kind and the parameter
-// corners that change which arm or which table entry a year takes.
+// kernelTolerance bounds |kernel - schedule| relative to the schedule. The
+// two are one real number associated two ways (weights folded at compile
+// time against weights applied per year, max(a*I + k, 1) against 1 +
+// (max(beta*I, i) - i)/(1+i)): the worst case seen is 9 ulp (ten years on the
+// kink), 1e-13 is ~450.
+const kernelTolerance = 1e-13
+
+// sameValue is bitwise equality that lets any NaN equal any NaN.
+func sameValue(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// worstKernelGap is the largest relative gap requireKernelMatchesSchedule
+// has seen, logged so the tolerance's headroom stays visible.
+var worstKernelGap float64
+
+func requireKernelMatchesSchedule(t *testing.T, c Contract, dec *actuarial.DecrementTable, k *Kernel, returns, disc []float64) {
+	t.Helper()
+	got := k.PresentValue(returns, disc)
+	want := referencePresentValue(t, c, dec, returns, disc)
+	if want != 0 {
+		worstKernelGap = max(worstKernelGap, math.Abs(got-want)/math.Abs(want))
+	}
+	if !(math.Abs(got-want) <= kernelTolerance*math.Abs(want)) {
+		t.Fatalf("kernel %v (%#x), schedule %v (%#x): apart by more than %g relative",
+			got, math.Float64bits(got), want, math.Float64bits(want), kernelTolerance)
+	}
+}
+
+// TestKernelMatchesFlowSchedule holds the compiled kernel to the schedule
+// decomposition, within rounding (kernelTolerance), over every contract kind
+// and the parameter corners that change which weight a year takes.
 func TestKernelMatchesFlowSchedule(t *testing.T) {
 	kinds := []Kind{PureEndowment, Endowment, TermInsurance, WholeLife, Annuity}
 	penaltyYears := []int{0, 4, 30} // none, inside the term, beyond it
@@ -70,7 +100,7 @@ func TestKernelMatchesFlowSchedule(t *testing.T) {
 						for trial := 0; trial < 50; trial++ {
 							d := 1.0
 							for i := range returns {
-								// Both arms of the guarantee, and an exact tie.
+								// Both arms of the guarantee, and the kink beta*I = i.
 								returns[i] = 0.03 + 0.08*rng.NormFloat64()
 								if trial%7 == 0 && i%3 == 0 {
 									returns[i] = tech / c.Beta
@@ -78,11 +108,46 @@ func TestKernelMatchesFlowSchedule(t *testing.T) {
 								d *= math.Exp(-0.02 - 0.01*rng.NormFloat64())
 								disc[i] = d
 							}
+							requireKernelMatchesSchedule(t, c, dec, &k, returns, disc)
+						}
+
+						// Returns far below the guarantee: the readjustment factor
+						// stays exactly 1 in both forms, so the kernel is the weights
+						// discounted and nothing else.
+						flat := 0.0
+						for i := range returns {
+							returns[i] = -0.5 - float64(i)
+						}
+						for i, w := range k.w {
+							flat += disc[i] * w
+						}
+						if got := k.PresentValue(returns, disc); got != flat {
+							t.Fatalf("below the guarantee: kernel %v, discounted weights %v", got, flat)
+						}
+						requireKernelMatchesSchedule(t, c, dec, &k, returns, disc)
+
+						// Every year on the kink.
+						for i := range returns {
+							returns[i] = tech / c.Beta
+						}
+						requireKernelMatchesSchedule(t, c, dec, &k, returns, disc)
+
+						// Non-finite returns propagate as they do through the
+						// schedule: NaN and +Inf poison the value, -Inf is a year
+						// below the guarantee.
+						for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+							for i := range returns {
+								returns[i] = 0.03
+							}
+							returns[0] = bad
 							got := k.PresentValue(returns, disc)
 							want := referencePresentValue(t, c, dec, returns, disc)
-							if math.Float64bits(got) != math.Float64bits(want) {
-								t.Fatalf("trial %d: kernel %v (%#x) != schedule %v (%#x)",
-									trial, got, math.Float64bits(got), want, math.Float64bits(want))
+							if math.IsNaN(want) || math.IsInf(want, 0) {
+								if !sameValue(got, want) {
+									t.Fatalf("return %v: kernel %v, schedule %v", bad, got, want)
+								}
+							} else {
+								requireKernelMatchesSchedule(t, c, dec, &k, returns, disc)
 							}
 						}
 					})
@@ -90,6 +155,7 @@ func TestKernelMatchesFlowSchedule(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("worst |kernel - schedule| / |schedule| = %.3g (%.1f ulp)", worstKernelGap, worstKernelGap/0x1p-52)
 }
 
 func TestCompileRejectsShortTable(t *testing.T) {
@@ -110,27 +176,35 @@ func TestCompileRejectsShortTable(t *testing.T) {
 	}
 }
 
-// TestInlineMaxMatchesMathMax holds the kernel's inline-max form of Eq.
-// (3)/(5) to the math.Max form of ReadjustmentRate, bit for bit, on finite
-// inputs — signed zeros on either side of the comparison included.
+// TestInlineMaxMatchesMathMax holds the kernel's yearly factor, the built-in
+// max(a*I + k, 1), to math.Max on the same operands bit for bit — signed
+// zeros, NaN and infinities included — and to Eq. (3) as ReadjustmentRate
+// writes it, 1 + (math.Max(beta*I, i) - i)/(1+i), within 4 ulp of a value in
+// [1, 2): the identity PresentValue rests on.
 func TestInlineMaxMatchesMathMax(t *testing.T) {
-	same := func(c, beta, tech, ret float64) bool {
-		got := revalued(c, beta, tech, 1+tech, ret)
-		want := c * (1 + ReadjustmentRate(beta, tech, ret))
-		return math.Float64bits(got) == math.Float64bits(want)
+	check := func(beta, tech, ret float64) bool {
+		a, k := beta/(1+tech), 1/(1+tech)
+		got := max(a*ret+k, 1)
+		if !sameValue(got, math.Max(a*ret+k, 1)) {
+			return false
+		}
+		want := 1 + ReadjustmentRate(beta, tech, ret)
+		if math.IsNaN(want) || math.IsInf(want, 0) {
+			return sameValue(got, want)
+		}
+		return math.Abs(got-want) <= 4e-16*want
 	}
 	negZero := math.Copysign(0, -1)
 	for _, tech := range []float64{0, negZero, 0.02} {
-		for _, ret := range []float64{0, negZero, 0.025, -0.025, tech / 0.8, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64} {
-			for _, c := range []float64{1, 12500, 1e-300} {
-				if !same(c, 0.8, tech, ret) {
-					t.Errorf("c=%v tech=%v ret=%v: inline and math.Max forms differ", c, tech, ret)
-				}
+		for _, ret := range []float64{0, negZero, 0.025, -0.025, tech / 0.8, math.MaxFloat64, -math.MaxFloat64,
+			math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if !check(0.8, tech, ret) {
+				t.Errorf("tech=%v ret=%v: max(a*I+k, 1) and Eq. (3) differ", tech, ret)
 			}
 		}
 	}
-	if err := quick.Check(func(betaRaw, techRaw uint16, ret, c float64) bool {
-		if math.IsNaN(ret) || math.IsInf(ret, 0) || math.IsNaN(c) || math.IsInf(c, 0) {
+	if err := quick.Check(func(betaRaw, techRaw uint16, ret float64) bool {
+		if math.IsNaN(ret) || math.IsInf(ret, 0) {
 			return true
 		}
 		beta := 0.01 + 0.98*float64(betaRaw)/65535
@@ -140,8 +214,60 @@ func TestInlineMaxMatchesMathMax(t *testing.T) {
 		if techRaw%2 == 0 {
 			ret = math.Mod(ret, 0.1)
 		}
-		return same(c, beta, tech, ret)
+		return check(beta, tech, ret)
 	}, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkKernelPresentValue measures the per-(contract, path) kernel alone:
+// one 25-contract block of the annuity-rich book (terms 10..40, every kind)
+// valued along one 40-year path. It reports ns per contract-year, the unit
+// the walk pays per inner path; BENCH_pr22.json pins it and
+// TestKernelBenchSmoke gates it.
+func BenchmarkKernelPresentValue(b *testing.B) {
+	spec := ItalianCompanySpecs()[2]
+	spec.NumContracts = 25
+	p, err := Generate(finmath.NewRNG(5), spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	book := make([]Kernel, len(p.Contracts))
+	contractYears := 0
+	for i, c := range p.Contracts {
+		if book[i], err = c.Compile(testDecrements(b, c)); err != nil {
+			b.Fatal(err)
+		}
+		contractYears += c.Term
+	}
+	rng := finmath.NewRNG(9)
+	returns, disc := make([]float64, spec.MaxTerm), make([]float64, spec.MaxTerm)
+	d := 1.0
+	for i := range returns {
+		returns[i] = 0.03 + 0.04*rng.NormFloat64() // both arms of the guarantee
+		d *= math.Exp(-0.02)
+		disc[i] = d
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	total := 0.0
+	for i := 0; i < b.N; i++ {
+		for c := range book {
+			total += book[c].PresentValue(returns, disc)
+		}
+	}
+	kernelSink = total
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(contractYears), "ns/contract-year")
+}
+
+var kernelSink float64
+
+// TestKernelBenchSmoke holds the kernel to BENCH_pr22.json: 0 allocs/op
+// exactly; ns/op warns at >20% and fails at >2x. A division or a per-kind
+// branch back in the per-year loop reads about 1.3x on this row, so the gate
+// is for gross regressions; the traced bench run carries the trend.
+func TestKernelBenchSmoke(t *testing.T) {
+	benchgate.Run(t, "../../BENCH_pr22.json", []benchgate.Row{
+		{Name: "BenchmarkKernelPresentValue", Bench: BenchmarkKernelPresentValue},
+	})
 }

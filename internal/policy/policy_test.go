@@ -111,6 +111,13 @@ func TestContractValidate(t *testing.T) {
 		{"zero count", func(c *Contract) { c.Count = 0 }},
 		{"penalty > 1", func(c *Contract) { c.Penalty = 1.5 }},
 		{"negative penalty yrs", func(c *Contract) { c.PenaltyYears = -1 }},
+		// Non-finite values would otherwise reach the constants Compile folds.
+		{"NaN sum", func(c *Contract) { c.InsuredSum = math.NaN() }},
+		{"+Inf sum", func(c *Contract) { c.InsuredSum = math.Inf(1) }},
+		{"NaN beta", func(c *Contract) { c.Beta = math.NaN() }},
+		{"NaN tech", func(c *Contract) { c.TechnicalRate = math.NaN() }},
+		{"+Inf tech", func(c *Contract) { c.TechnicalRate = math.Inf(1) }},
+		{"NaN penalty", func(c *Contract) { c.Penalty = math.NaN() }},
 	}
 	if err := validContract().Validate(); err != nil {
 		t.Fatalf("valid contract rejected: %v", err)

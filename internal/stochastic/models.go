@@ -241,3 +241,13 @@ func (c YieldCache) Yield(r float64) float64 {
 	}
 	return c.intercept + c.slope*r
 }
+
+// Affine returns the curve point's intercept and slope, Yield(r) =
+// intercept + slope*r, for callers that fold several curve points into one
+// affine function of the short rate (the fund's compiled bond leg).
+func (c YieldCache) Affine() (intercept, slope float64) {
+	if c.tau <= 0 {
+		return 0, 1
+	}
+	return c.intercept, c.slope
+}
