@@ -390,7 +390,7 @@ func jobWalkBook(b *testing.B) []*eeb.Block {
 // walking them one after another, on the daemon's default book. per-block is
 // the N = 1 walk per block (the shape grid.RunSequential keeps as the
 // reference); job is the fused walk grid.Master and the cluster scatter.
-// BENCH_pr22.json pins both; TestValuationHotPathBenchSmoke gates them.
+// BENCH_pr23.json pins both; TestValuationHotPathBenchSmoke gates them.
 func BenchmarkJobWalk(b *testing.B) {
 	b.Run("per-block", benchmarkPerBlockWalk)
 	b.Run("job", benchmarkJobWalk)

@@ -1,6 +1,10 @@
 package finmath
 
-import "testing"
+import (
+	"testing"
+
+	"disarcloud/internal/benchgate"
+)
 
 // BenchmarkRNGUint64 measures the raw generator.
 func BenchmarkRNGUint64(b *testing.B) {
@@ -11,14 +15,48 @@ func BenchmarkRNGUint64(b *testing.B) {
 	}
 }
 
-// BenchmarkNormFloat64 measures one Gaussian draw (the inner-loop cost of
-// every scenario step).
+// BenchmarkNormFloat64 measures one polar-method Gaussian draw: what the
+// portfolio generator, the cloud's noise and the load traces pay. The
+// scenario generator does not call it; its cost is BenchmarkNormFill.
 func BenchmarkNormFloat64(b *testing.B) {
 	r := NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = r.NormFloat64()
 	}
+}
+
+// BenchmarkNormFill measures the ziggurat at the two lengths the generator
+// uses it: the 3 shocks of one step of the default market, and a 120-vector
+// (no per-call overhead left). ns/op is per fill; ns/draw is reported
+// beside it. BENCH_pr23.json pins both; TestNormFillBenchSmoke gates them.
+func BenchmarkNormFill(b *testing.B) {
+	b.Run("3", benchmarkNormFill3)
+	b.Run("120", benchmarkNormFill120)
+}
+
+func benchmarkNormFill3(b *testing.B)   { benchmarkNormFill(b, 3) }
+func benchmarkNormFill120(b *testing.B) { benchmarkNormFill(b, 120) }
+
+func benchmarkNormFill(b *testing.B, n int) {
+	r := NewRNG(1)
+	z := make([]float64, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.NormFill(z)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/draw")
+}
+
+// TestNormFillBenchSmoke holds the sampler to BENCH_pr23.json: 0 allocs/op
+// is hard (any allocation fails), ns/op warns at >20% and fails at >2x (the
+// polar method under the same loop reads about 4x).
+func TestNormFillBenchSmoke(t *testing.T) {
+	benchgate.Run(t, "../../BENCH_pr23.json", []benchgate.Row{
+		{Name: "BenchmarkNormFill/3", Bench: benchmarkNormFill3},
+		{Name: "BenchmarkNormFill/120", Bench: benchmarkNormFill120},
+	})
 }
 
 // BenchmarkQuantile measures the 99.5% quantile on a 10k-sample

@@ -69,15 +69,13 @@ func CorrelatedNormals(rng *RNG, chol *Matrix) []float64 {
 }
 
 // CorrelatedNormalsInto is the allocation-free form of CorrelatedNormals:
-// raw receives the independent draws and out the correlated vector, both of
-// length chol.Rows(). raw and out must not alias. The draws and arithmetic
-// are identical to CorrelatedNormals, so the two are bit-for-bit
-// interchangeable on the same RNG state.
+// raw receives the independent draws (one NormFill) and out the correlated
+// vector, both of length chol.Rows(). raw and out must not alias. The draws
+// and arithmetic are identical to CorrelatedNormals, so the two are
+// bit-for-bit interchangeable on the same RNG state.
 func CorrelatedNormalsInto(rng *RNG, chol *Matrix, raw, out []float64) {
 	n := chol.Rows()
-	for i := 0; i < n; i++ {
-		raw[i] = rng.NormFloat64()
-	}
+	rng.NormFill(raw[:n])
 	for i := 0; i < n; i++ {
 		s := 0.0
 		for j := 0; j <= i; j++ {

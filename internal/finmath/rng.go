@@ -9,7 +9,10 @@
 // interfere with one another.
 package finmath
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudo-random number generator based on
 // xoshiro256** seeded through SplitMix64. It is NOT safe for concurrent use;
@@ -53,18 +56,16 @@ func (r *RNG) Split() *RNG {
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
 	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
+	result := bits.RotateLeft64(s[1]*5, 7) * 9
 	t := s[1] << 17
 	s[2] ^= s[0]
 	s[3] ^= s[1]
 	s[1] ^= s[2]
 	s[0] ^= s[3]
 	s[2] ^= t
-	s[3] = rotl(s[3], 45)
+	s[3] = bits.RotateLeft64(s[3], 45)
 	return result
 }
-
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Float64 returns a uniform draw in [0, 1).
 func (r *RNG) Float64() float64 {
@@ -80,26 +81,18 @@ func (r *RNG) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
 }
 
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	lo = a * b
-	hi = aHi*bHi + t>>32 + (t&mask+aLo*bHi)>>32
-	return hi, lo
-}
-
 // NormFloat64 returns a standard normal draw using the polar Marsaglia
 // method, which avoids trigonometric calls and has no branch-dependent
-// stream consumption beyond rejection.
+// stream consumption beyond rejection. Its bit stream is a fixture: the
+// generated portfolios, the cloud's noise and the load traces are recorded
+// against it. Hot loops draw through NormFill, a different stream.
 func (r *RNG) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1
@@ -114,6 +107,81 @@ func (r *RNG) NormFloat64() float64 {
 // LogNormal returns exp(mu + sigma*Z) with Z standard normal.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
+}
+
+// The ziggurat of Marsaglia and Tsang (2000) covers the half-density
+// exp(-x*x/2), x >= 0, with zigStrips regions of equal area zigV: strip 0 is
+// the rectangle [0, zigR] x [0, f(zigR)] plus the tail beyond zigR, strip
+// i >= 1 the rectangle [0, x[i]] x [f(x[i]), f(x[i+1])]. zigR and zigV are the
+// published pair for 128 strips; everything else follows from them.
+const (
+	zigStrips = 128
+	zigR      = 3.442619855899
+	zigV      = 9.91256303526217e-3
+)
+
+// zigX holds the strips' right edges, decreasing from zigX[1] = zigR to
+// zigX[zigStrips] = 0, and zigF the density at them. zigX[0] = zigV/f(zigR)
+// is the width strip 0 would have as a plain rectangle of area zigV, so a
+// uniform point on [0, zigX[0]) falls left of zigR exactly as often as a
+// point of strip 0 falls in its rectangle rather than in the tail.
+var zigX, zigF = zigTables()
+
+func zigTables() (x, f [zigStrips + 1]float64) {
+	x[0], x[1] = zigV/math.Exp(-0.5*zigR*zigR), zigR
+	for i := 1; i < zigStrips-1; i++ {
+		x[i+1] = math.Sqrt(-2 * math.Log(zigV/x[i]+math.Exp(-0.5*x[i]*x[i])))
+	}
+	// The same step from x[zigStrips-1] lands on 0 to within the digits of
+	// zigR (TestZigguratTables holds it there); the top edge is exact.
+	x[zigStrips] = 0
+	for i := range f {
+		f[i] = math.Exp(-0.5 * x[i] * x[i])
+	}
+	return x, f
+}
+
+// NormFill fills z with independent standard normal draws from the
+// ziggurat. One Uint64 decides a draw in 97.2% of cases, and its bits are
+// used once each: bits 0-6 pick the strip, bit 7 the sign, the top 53 the
+// position along the strip. Only the wedge under the curve and the tail
+// draw again (Float64), and 1.2% of candidates are rejected there. The
+// stream is a pure function of the state on entry: there is no spare
+// variate to carry, filling z[:k] and then z[k:] is filling z, and Reseed
+// needs nothing cleared. The scenario generator draws every shock here.
+func (r *RNG) NormFill(z []float64) {
+	for n := range z {
+		var x float64
+		var b uint64
+		for {
+			b = r.Uint64()
+			i := b & (zigStrips - 1)
+			x = float64(b>>11) * (1.0 / (1 << 53)) * zigX[i]
+			if x < zigX[i+1] {
+				break // inside the part of the strip that lies under the curve
+			}
+			if i == 0 {
+				x = r.normTail()
+				break
+			}
+			// The wedge: uniform height within the strip against the density.
+			if zigF[i]+r.Float64()*(zigF[i+1]-zigF[i]) < math.Exp(-0.5*x*x) {
+				break
+			}
+		}
+		z[n] = math.Float64frombits(math.Float64bits(x) | (b>>7&1)<<63)
+	}
+}
+
+// normTail draws from the normal tail beyond zigR (Marsaglia 1964): an
+// exponential proposal of rate zigR, accepted against the density ratio.
+func (r *RNG) normTail() float64 {
+	for {
+		d := -math.Log(1-r.Float64()) / zigR
+		if -2*math.Log(1-r.Float64()) > d*d {
+			return zigR + d
+		}
+	}
 }
 
 // Exponential returns an exponentially distributed draw with the given rate.

@@ -246,6 +246,48 @@ func TestBondReturnsTrackRates(t *testing.T) {
 	}
 }
 
+// TestNegativeIntensityIsClampedInTheBondLeg pins what full truncation
+// does and does not promise (stochastic.CIRParams): on a volatile path the
+// intensity state goes below zero, and the corporate sleeve reads it through
+// max(lambda, 0) — in those years it earns exactly the government sleeve's
+// return, in the others strictly more, and never NaN.
+func TestNegativeIntensityIsClampedInTheBondLeg(t *testing.T) {
+	market := testMarket()
+	market.Credit = stochastic.CIRParams{L0: 0.02, Speed: 0.5, Mean: 0.02, Sigma: 1}
+	sleeve := func(kind AssetKind) *Fund {
+		f, err := New(Config{Name: "bond", Assets: []Asset{{Kind: kind, Weight: 1, Maturity: 7, LossGivenDefault: 0.6}}}, market)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	corporate, government := sleeve(CorporateBond), sleeve(GovernmentBond)
+	g, err := stochastic.NewGenerator(market)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := g.Generate(finmath.NewRNG(23), stochastic.RealWorld)
+	corp, gov := corporate.MarketReturns(s, market.Horizon), government.MarketReturns(s, market.Horizon)
+	negative := 0
+	for y := range corp {
+		lambda := s.Credit[s.IndexOfYear(float64(y+1))]
+		switch {
+		case math.IsNaN(lambda) || math.IsNaN(corp[y]) || math.IsInf(corp[y], 0):
+			t.Fatalf("year %d: intensity %v, corporate return %v", y+1, lambda, corp[y])
+		case lambda < 0:
+			negative++
+			if corp[y] != gov[y] {
+				t.Errorf("year %d: intensity %v < 0 but the corporate sleeve returns %v, government %v", y+1, lambda, corp[y], gov[y])
+			}
+		case lambda > 0 && !(corp[y] > gov[y]):
+			t.Errorf("year %d: intensity %v > 0 but the corporate sleeve returns %v, government %v", y+1, lambda, corp[y], gov[y])
+		}
+	}
+	if negative == 0 {
+		t.Fatal("the path never took the intensity below zero: the test does not exercise the clamp")
+	}
+}
+
 // fxMarket extends the test market with one currency index.
 func fxMarket() stochastic.Config {
 	m := testMarket()

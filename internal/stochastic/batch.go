@@ -29,8 +29,8 @@ type Batch struct {
 	// path slot; View(p) hands them out without allocating.
 	views []Scenario
 
-	// genScratch carries the per-step shock vector (and raw draws under a
-	// correlation structure) through generateInto: 2*NumFactors values.
+	// genScratch carries generateInto's per-step NormFill (shocks, and the
+	// raw draws under a correlation structure): 2*NumFactors values.
 	genScratch []float64
 	// mulDisc/mulDrift hold the per-time-step transform multipliers of an
 	// in-place panel shock — computed once per apply instead of once per

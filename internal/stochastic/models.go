@@ -152,8 +152,10 @@ func (g gbmStepper) step(s, rate, z float64, m Measure) float64 {
 }
 
 // CIRParams parameterises the square-root credit-intensity process
-// dl = a(b - l)dt + sigma sqrt(l) dW, simulated with full-truncation Euler
-// so the intensity stays non-negative.
+// dl = a(b - l)dt + sigma sqrt(l) dW by full-truncation Euler: drift and
+// diffusion see max(l, 0), so no square root of a negative. The state is not
+// floored and dips below zero on volatile paths; consumers clamp it, as the
+// fund's bond leg does (max(lambda_t, 0)).
 type CIRParams struct {
 	L0    float64 // initial intensity
 	Speed float64 // mean-reversion speed a

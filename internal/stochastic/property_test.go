@@ -136,6 +136,54 @@ func TestPropertyCIRStationaryMoments(t *testing.T) {
 	}
 }
 
+// TestPropertyShockCorrelationMatchesConfig checks the law of correlated
+// generation: over one step from a fixed state every driver is an affine
+// function of its own shock (the rate and the intensity in level, equities
+// and the currency in log), so the sample correlation matrix of 1e5
+// one-step moves estimates cfg.Corr itself. Each entry must sit within 4
+// standard errors, (1 - rho^2)/sqrt(n) for a sample correlation. A shock
+// wired to the wrong driver, a transposed Cholesky factor or a sampler whose
+// draws are not independent fails it.
+func TestPropertyShockCorrelationMatchesConfig(t *testing.T) {
+	cfg := testConfig() // factors: rate, two equities, one currency, credit
+	cfg.Horizon, cfg.StepsPerYear = 1, 4
+	rho := [][]float64{
+		{1, 0.3, 0.2, -0.1, -0.4},
+		{0.3, 1, 0.6, 0.25, -0.3},
+		{0.2, 0.6, 1, 0.1, -0.2},
+		{-0.1, 0.25, 0.1, 1, 0.15},
+		{-0.4, -0.3, -0.2, 0.15, 1},
+	}
+	cfg.Corr = finmath.NewMatrixFrom(rho)
+	g, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 100000
+	names := []string{"rate", "equity 0", "equity 1", "currency", "credit"}
+	moves := make([][]float64, len(names))
+	for i := range moves {
+		moves[i] = make([]float64, n)
+	}
+	rng := finmath.NewRNG(4000)
+	for p := 0; p < n; p++ {
+		s := g.Generate(rng, RealWorld)
+		moves[0][p] = s.Rates[1]
+		moves[1][p] = math.Log(s.Equities[0][1])
+		moves[2][p] = math.Log(s.Equities[1][1])
+		moves[3][p] = math.Log(s.Currencies[0][1])
+		moves[4][p] = s.Credit[1]
+	}
+	for i := range names {
+		for j := i + 1; j < len(names); j++ {
+			got, want := finmath.Correlation(moves[i], moves[j]), rho[i][j]
+			if se := (1 - want*want) / math.Sqrt(n); math.Abs(got-want) > 4*se {
+				t.Errorf("corr(%s, %s) = %.4f, want %v within %.4f (4 SE)", names[i], names[j], got, want, 4*se)
+			}
+		}
+	}
+}
+
 // almostEqual compares with a relative tolerance against floating-point
 // accumulation over a few hundred grid steps.
 func almostEqual(a, b float64) bool {

@@ -220,10 +220,10 @@ func (g *Generator) GenerateFrom(rng *finmath.RNG, m Measure, from *Scenario, fr
 
 // generateInto simulates a scenario into s, whose driver slices must already
 // be sized steps+1 (panel views or freshly allocated paths alike). scratch
-// must hold at least 2*NumFactors values; it carries the per-step shock
-// vector (and, under a correlation structure, the raw draws). The stepping
-// arithmetic is shared by every generation entry point, so batched panel
-// fills and one-shot Generate calls are bit-identical by construction.
+// must hold at least 2*NumFactors values: the per-step shock vector, one
+// finmath.RNG.NormFill (into the raw half under a correlation structure).
+// The stepping arithmetic is shared by every generation entry point, so
+// batched panel fills and one-shot Generate calls are bit-identical.
 func (g *Generator) generateInto(rng *finmath.RNG, m Measure, from *Scenario, fromYear float64, s *Scenario, scratch []float64) {
 	cfg := g.cfg
 	steps := g.steps
@@ -260,9 +260,7 @@ func (g *Generator) generateInto(rng *finmath.RNG, m Measure, from *Scenario, fr
 		if g.chol != nil {
 			finmath.CorrelatedNormalsInto(rng, g.chol, raw, z)
 		} else {
-			for i := range z {
-				z[i] = rng.NormFloat64()
-			}
+			rng.NormFill(z)
 		}
 		rPrev := rates[k-1]
 		rates[k] = g.rate.step(rPrev, z[0], m)
