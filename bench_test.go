@@ -328,12 +328,12 @@ func BenchmarkKBRetrain(b *testing.B) {
 	b.ReportMetric(float64(most), "samples")
 }
 
-// TestKBRetrainBenchSmoke gates BenchmarkKBRetrain against BENCH_pr15.json:
+// TestKBRetrainBenchSmoke gates BenchmarkKBRetrain against BENCH_pr24.json:
 // allocs/op and bytes/op of the learn step are hardware-independent and
 // hard-fail; its wall clock depends on how many cores train the suite, so
 // ns/op only warns.
 func TestKBRetrainBenchSmoke(t *testing.T) {
-	benchgate.Run(t, "BENCH_pr15.json", []benchgate.Row{
+	benchgate.Run(t, "BENCH_pr24.json", []benchgate.Row{
 		{Name: "BenchmarkKBRetrain", Bench: BenchmarkKBRetrain, BytesToo: true, NsWarnOnly: true},
 	})
 }

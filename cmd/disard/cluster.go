@@ -7,6 +7,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -228,7 +229,7 @@ func (s *server) clusterStatus(w http.ResponseWriter, _ *http.Request) {
 // gossipKB periodically merges every peer coordinator's knowledge base into
 // the local one, so each node's predictor trains on the whole cluster's
 // measurements.
-func gossipKB(ctx context.Context, coord *disarcloud.ClusterCoordinator, peers []string, every time.Duration) {
+func gossipKB(ctx context.Context, coord *disarcloud.ClusterCoordinator, d *disarcloud.Deployer, peers []string, every time.Duration) {
 	if len(peers) == 0 || every <= 0 {
 		return
 	}
@@ -239,7 +240,7 @@ func gossipKB(ctx context.Context, coord *disarcloud.ClusterCoordinator, peers [
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			added, err := coord.SyncKB(ctx, peers)
+			added, err := gossipOnce(ctx, coord, d, peers)
 			if added > 0 {
 				log.Printf("kb gossip: merged %d samples from %d peers", added, len(peers))
 			}
@@ -248,4 +249,17 @@ func gossipKB(ctx context.Context, coord *disarcloud.ClusterCoordinator, peers [
 			}
 		}
 	}
+}
+
+// gossipOnce is one exchange: merge the peers' samples, then learn them. The
+// merge alone only grows the knowledge base; an architecture's suite is
+// otherwise rebuilt when a local deploy next records on it, and a node that
+// never picks an architecture would predict it from its boot-time samples
+// for ever.
+func gossipOnce(ctx context.Context, coord *disarcloud.ClusterCoordinator, d *disarcloud.Deployer, peers []string) (added int, err error) {
+	added, err = coord.SyncKB(ctx, peers)
+	if added > 0 {
+		err = errors.Join(err, d.Relearn())
+	}
+	return added, err
 }

@@ -238,3 +238,78 @@ func TestSubmitRoutedToRingOwner(t *testing.T) {
 		t.Fatalf("job present on non-owner: status %d", otherResp.StatusCode)
 	}
 }
+
+// TestGossipedSamplesAreLearned: node A measures an architecture node B has
+// never deployed on; after ONE gossip exchange B predicts it exactly as a
+// deployer freshly trained on the merged knowledge base does. Before
+// gossipOnce the merge only grew B's KB and its predictor never saw the
+// samples.
+func TestGossipedSamplesAreLearned(t *testing.T) {
+	const arch = "m4.10xlarge"
+	ctx := t.Context()
+	type node struct {
+		kb    *disarcloud.KnowledgeBase
+		coord *disarcloud.ClusterCoordinator
+		d     *disarcloud.Deployer
+		url   string
+	}
+	newNode := func() node {
+		knowledge := disarcloud.NewKnowledgeBase()
+		coord := disarcloud.NewClusterCoordinator(disarcloud.ClusterConfig{KB: knowledge})
+		d, err := disarcloud.NewDeployer(2016, disarcloud.WithKnowledgeBase(knowledge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mux := http.NewServeMux()
+		coord.Routes(mux)
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		return node{knowledge, coord, d, srv.URL}
+	}
+	a, b := newNode(), newNode()
+	f := disarcloud.CharacteristicParams{
+		RepresentativeContracts: 15, MaxHorizon: 25, FundAssets: 8,
+		RiskFactors: 3, OuterPaths: 1000, InnerPaths: 50,
+	}
+	for i := 0; i < 16; i++ {
+		g := f
+		g.RepresentativeContracts += 5 * i
+		if _, err := a.d.DeployManual(ctx, arch, 1+i%6, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b.d.Predictor().Trained(arch) {
+		t.Fatalf("node B has a %s suite before any exchange", arch)
+	}
+	added, err := gossipOnce(ctx, b.coord, b.d, []string{a.url})
+	if err != nil || added != 16 {
+		t.Fatalf("gossip added %d samples (%v), want 16", added, err)
+	}
+	fresh, err := disarcloud.NewDeployer(2016, disarcloud.WithKnowledgeBase(b.kb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for nodes := 1; nodes <= 6; nodes++ {
+		got, err := b.d.Predictor().PredictPerModel(arch, nodes, f)
+		if err != nil {
+			t.Fatalf("node B after the exchange: %v", err)
+		}
+		want, err := fresh.Predictor().PredictPerModel(arch, nodes, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, v := range want {
+			if got[name] != v {
+				t.Fatalf("%s x%d %s: node B predicts %v, a fresh retrain on the merged KB %v", arch, nodes, name, got[name], v)
+			}
+		}
+	}
+	// A converged exchange adds nothing and takes no learn step.
+	gens := b.d.Predictor().Generations()
+	if added, err := gossipOnce(ctx, b.coord, b.d, []string{a.url}); err != nil || added != 0 {
+		t.Fatalf("converged gossip added %d samples (%v)", added, err)
+	}
+	if got := b.d.Predictor().Generations(); got != gens {
+		t.Fatalf("converged gossip took %d generations", got-gens)
+	}
+}

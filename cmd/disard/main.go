@@ -370,7 +370,7 @@ func run() error {
 			coord.ScaleTo(*spawn)
 			log.Printf("cluster: spawned %d worker processes", *spawn)
 		}
-		go gossipKB(ctx, coord, peers, *gossipEvery)
+		go gossipKB(ctx, coord, d, peers, *gossipEvery)
 	}
 
 	select {

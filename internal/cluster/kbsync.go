@@ -28,9 +28,11 @@ func (c *Coordinator) handleKB(rw http.ResponseWriter, r *http.Request) {
 // SyncKB pulls every peer coordinator's knowledge base and merges the
 // samples into the local one. The merge is a multiset max-union (see
 // kb.Merge): idempotent and order-independent, so peers gossiping on
-// independent schedules converge to the same knowledge base and every
-// node's predictor trains on the whole cluster's measurements. Unreachable
-// peers are skipped and reported joined; reachable peers still merge.
+// independent schedules converge to the same knowledge base. Merging does
+// not train anything: a caller that added samples follows with the learn
+// step (core.Deployer.Relearn), so its predictor trains on the whole
+// cluster's measurements. Unreachable peers are skipped and reported
+// joined; reachable peers still merge.
 func (c *Coordinator) SyncKB(ctx context.Context, peers []string) (added int, err error) {
 	if c.kb == nil {
 		return 0, errors.New("cluster: no knowledge base attached")

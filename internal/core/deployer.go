@@ -13,7 +13,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"disarcloud/internal/cloud"
 	"disarcloud/internal/eeb"
@@ -40,16 +43,17 @@ const MaxManualNodes = 64
 // the select -> execute -> record -> retrain loop.
 //
 // A Deployer is safe for concurrent use. An internal mutex serialises the
-// select -> execute -> record critical section, which ends by snapshotting
-// the affected architecture's dataset under a generation number; the
-// retrain runs outside the mutex on that snapshot, and the predictor
-// installs a suite only if its generation is newer than the one in place.
-// Every deploy returns only once its own generation (or a newer one) is
-// installed, so a single caller sees the paper's select -> execute ->
-// record -> retrain sequence exactly, while n concurrent deploys select
-// against models at most n-1 samples behind the knowledge base — as in the
-// real system, where a job's measured time arrives long after the next
-// job's selection. The real valuation work runs outside the lock too.
+// part of a deploy that draws shared randomness and writes: pick among the
+// candidates, simulated execution, knowledge-base record — tens of
+// microseconds. The candidates' predictions are computed before it, the
+// retrain runs after it, and concurrent deploys share one retrain: the learn
+// step is a group commit (see learnAfter). Every deploy returns only once a
+// generation holding its own sample, or a newer one, is installed, so a
+// single caller sees the paper's select -> execute -> record -> retrain
+// sequence exactly, while n concurrent deploys select against models at
+// most n-1 samples behind the knowledge base — as in the real system, where
+// a job's measured time arrives long after the next job's selection. The
+// real valuation work runs outside the lock too.
 type Deployer struct {
 	provider     *cloud.Provider
 	kb           *kb.KB
@@ -69,8 +73,31 @@ type Deployer struct {
 	runner BlockRunner
 
 	// mu serialises the deploy loop (selection randomness, cloud noise,
-	// knowledge-base record, training snapshot) — not the training itself.
+	// knowledge-base record, training snapshot) — not the predictions before
+	// it nor the training after it.
 	mu sync.Mutex
+
+	// The learn step's group commit (learnAfter). inFlight counts the
+	// sections entered and not yet left; the rest is guarded by mu: the
+	// architectures changed since the last snapshot, the sections that left
+	// since then, and the rendezvous of those waiting for the next leader
+	// (nil while nobody waits).
+	inFlight atomic.Int32
+	dirty    []string
+	sections int
+	waiting  *convoy
+
+	// hook, when non-nil, is called at named points of a deploy. Only tests
+	// set it: to hold a deploy where a convoy forms behind it, or to panic
+	// there.
+	hook func(point string)
+}
+
+// convoy is where the deploys that handed their learn step over wait for
+// the leader that takes it.
+type convoy struct {
+	done chan struct{} // closed by the leader once its training is installed
+	err  error         // the training's error; read after done
 }
 
 // Option customises a Deployer.
@@ -211,31 +238,138 @@ func (d *Deployer) deployBudgeted(ctx context.Context, f eeb.CharacteristicParam
 	return d.deploy(ctx, f, c, finmath.NewRNG(seed^0x9d15a7c10bd5eed5), acct)
 }
 
-// learnAfter runs critical under the deploy mutex and then, outside it,
-// trains the snapshots critical took of the architectures it changed. It
-// returns once each of those generations, or a newer one, is installed.
-func (d *Deployer) learnAfter(critical func() ([]provision.Snapshot, error)) error {
-	snaps, err := func() ([]provision.Snapshot, error) {
-		d.mu.Lock()
-		defer d.mu.Unlock() // deferred: a panicking section must not wedge the deployer
-		return critical()
+// learnAfter runs prepare (nil = nothing) outside the deploy mutex, then
+// critical under it, then the learn step for the architectures critical
+// reports changed — as a group commit. A section is in flight from entry
+// until it leaves the mutex. One that leaves while another is in flight
+// hands its architectures over and waits; the one that leaves with nobody
+// behind it, or as the GOMAXPROCS-th since the last snapshot, leads: it
+// takes ONE generation-stamped snapshot of every architecture handed over,
+// trains it outside the mutex and releases the waiting with the training's
+// error. The cap bounds any wait by GOMAXPROCS critical sections plus one
+// training whatever the arrival stream, and is the number of trainings that
+// would have run side by side anyway. A sequential caller always leads,
+// alone, with its own architecture.
+//
+// The hand-off is deferred, so a panic in prepare or critical takes it too:
+// the panicking section un-counts itself and leads for what others handed
+// over, if it must, before the panic travels on.
+func (d *Deployer) learnAfter(prepare func(), critical func() ([]string, error)) (err error) {
+	d.inFlight.Add(1)
+	var touched []string
+	locked := false
+	defer func() {
+		if !locked {
+			d.mu.Lock()
+		}
+		snaps, conv, leads := d.handOff(touched)
+		d.mu.Unlock()
+		switch {
+		case leads:
+			d.at("train")
+			trainErr := d.pred.Train(snaps)
+			if conv != nil {
+				conv.err = trainErr
+				close(conv.done)
+			}
+			if err == nil {
+				err = trainErr
+			}
+		case conv != nil: // a follower: its own section succeeded
+			<-conv.done
+			err = conv.err
+		}
 	}()
-	if err != nil {
-		return err
+	if prepare != nil {
+		prepare()
 	}
-	return d.pred.Train(snaps)
+	d.mu.Lock()
+	locked = true
+	touched, err = critical()
+	return err
+}
+
+// handOff is how a section leaves: it adds touched to the dirty set,
+// un-counts the section and decides its part in the learn step. A leader
+// gets the snapshots to train and the convoy to release after (nil when
+// nobody waits); a follower the convoy to wait on; a section that changed
+// nothing and need not lead gets neither. d.mu must be held.
+func (d *Deployer) handOff(touched []string) (snaps []provision.Snapshot, conv *convoy, leads bool) {
+	for _, arch := range touched {
+		if !slices.Contains(d.dirty, arch) {
+			d.dirty = append(d.dirty, arch)
+		}
+	}
+	d.sections++
+	if d.inFlight.Add(-1) > 0 && d.sections < runtime.GOMAXPROCS(0) {
+		if len(touched) == 0 {
+			return nil, nil, false
+		}
+		if d.waiting == nil {
+			d.waiting = &convoy{done: make(chan struct{})}
+		}
+		return nil, d.waiting, false
+	}
+	snaps = d.pred.Snapshot(d.kb, d.dirty...)
+	conv = d.waiting
+	d.dirty, d.sections, d.waiting = d.dirty[:0], 0, nil
+	return snaps, conv, true
+}
+
+// at calls the test hook, if any.
+func (d *Deployer) at(point string) {
+	if d.hook != nil {
+		d.hook(point)
+	}
+}
+
+// selection is the part of Algorithm 1 that reads only the installed
+// models, computed before the deploy mutex: the deadline-feasible
+// candidates; or — fallback — the fastest configuration alone when there
+// are none; or — bootstrap — nothing, while no architecture has a model;
+// or the error that stopped the enumeration.
+type selection struct {
+	cands     []provision.Choice
+	fallback  bool
+	bootstrap bool
+	err       error
+}
+
+// enumerate computes a deploy's selection.
+func (d *Deployer) enumerate(ctx context.Context, f eeb.CharacteristicParams, c provision.Constraints) selection {
+	d.at("candidates")
+	if err := f.Validate(); err != nil {
+		return selection{err: err}
+	}
+	sel := selection{}
+	sel.cands, sel.err = d.sel.Candidates(ctx, f, c)
+	if sel.err == nil && len(sel.cands) == 0 {
+		var fastest provision.Choice
+		fastest, sel.err = d.sel.SelectFastest(ctx, f, c.MaxNodes)
+		sel.cands, sel.fallback = []provision.Choice{fastest}, true
+	}
+	if errors.Is(sel.err, provision.ErrUntrained) {
+		return selection{bootstrap: true}
+	}
+	return sel
 }
 
 // deploy is the body of Deploy. The execution rng is passed explicitly so
 // per-job seed splits can bypass the shared stream (d.rng is only ever used
 // under d.mu).
 func (d *Deployer) deploy(ctx context.Context, f eeb.CharacteristicParams, c provision.Constraints, rng *finmath.RNG, acct *costAccountant) (*Report, error) {
-	var rep *Report
-	err := d.learnAfter(func() (_ []provision.Snapshot, err error) {
-		if rep, err = d.deployLocked(ctx, f, c, rng, acct); err != nil {
+	var (
+		sel selection
+		rep *Report
+	)
+	err := d.learnAfter(func() {
+		sel = d.enumerate(ctx, f, c)
+	}, func() (_ []string, err error) {
+		d.at("section")
+		if rep, err = d.deployLocked(ctx, f, c, sel, rng, acct); err != nil {
 			return nil, err
 		}
-		return d.snapshotFor(rep), nil
+		return d.touched(rep), nil
 	})
 	if err != nil {
 		return nil, err
@@ -243,23 +377,21 @@ func (d *Deployer) deploy(ctx context.Context, f eeb.CharacteristicParams, c pro
 	return rep, nil
 }
 
-// snapshotFor takes the training snapshot a recorded deploy calls for: the
-// sample's architecture, at the retrain cadence. d.mu must be held.
-func (d *Deployer) snapshotFor(rep *Report) []provision.Snapshot {
+// touched names the architecture a recorded deploy calls a retrain for: the
+// sample's, at the retrain cadence. d.mu must be held.
+func (d *Deployer) touched(rep *Report) []string {
 	if rep.sample == nil || d.kb.Len()%d.retrainEvery != 0 {
 		return nil
 	}
-	return d.pred.Snapshot(d.kb, rep.sample.Architecture)
+	return []string{rep.sample.Architecture}
 }
 
-// deployLocked is deploy's critical section — select, execute, record;
-// d.mu must be held.
-func (d *Deployer) deployLocked(ctx context.Context, f eeb.CharacteristicParams, c provision.Constraints, rng *finmath.RNG, acct *costAccountant) (*Report, error) {
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
+// deployLocked is deploy's critical section — pick, execute, record; d.mu
+// must be held. The remaining budget is read here, under the lock, and
+// applied by Pick: it is what concurrent deploys contend for.
+func (d *Deployer) deployLocked(ctx context.Context, f eeb.CharacteristicParams, c provision.Constraints, sel selection, rng *finmath.RNG, acct *costAccountant) (*Report, error) {
+	if sel.err != nil {
+		return nil, sel.err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -273,7 +405,7 @@ func (d *Deployer) deployLocked(ctx context.Context, f eeb.CharacteristicParams,
 		}
 		c.MaxCost = rem
 	}
-	choice, bootstrap, fallback, err := d.choose(ctx, f, c)
+	choice, err := d.choose(c, sel)
 	if err != nil {
 		var obe *provision.OverBudgetError
 		if errors.As(err, &obe) {
@@ -300,8 +432,8 @@ func (d *Deployer) deployLocked(ctx context.Context, f eeb.CharacteristicParams,
 	if err != nil {
 		return nil, err
 	}
-	rep.Bootstrap = bootstrap
-	rep.Fallback = fallback
+	rep.Bootstrap = sel.bootstrap
+	rep.Fallback = sel.fallback
 	return rep, nil
 }
 
@@ -330,11 +462,11 @@ func (d *Deployer) DeployManual(ctx context.Context, architecture string, nodes 
 	}
 	choice := provision.Choice{Slots: []provision.Slot{{Type: it, Nodes: nodes}}}
 	var rep *Report
-	err := d.learnAfter(func() (_ []provision.Snapshot, err error) {
+	err := d.learnAfter(nil, func() (_ []string, err error) {
 		if rep, err = d.execute(choice, f, d.rng); err != nil {
 			return nil, err
 		}
-		return d.snapshotFor(rep), nil
+		return d.touched(rep), nil
 	})
 	if err != nil {
 		return nil, err
@@ -343,26 +475,20 @@ func (d *Deployer) DeployManual(ctx context.Context, architecture string, nodes 
 	return rep, nil
 }
 
-// choose applies Algorithm 1 with the two boundary policies: random
-// configuration while the knowledge base is too small (manual-training
-// phase surrogate) and fastest-available when nothing meets the deadline.
-func (d *Deployer) choose(ctx context.Context, f eeb.CharacteristicParams, c provision.Constraints) (choice provision.Choice, bootstrap, fallback bool, err error) {
-	choice, err = d.sel.Select(ctx, f, c)
+// choose finishes Algorithm 1 on a selection, with the two boundary
+// policies: random configuration while the knowledge base is too small
+// (manual-training phase surrogate) and fastest-available when nothing
+// meets the deadline. d.mu must be held: it is what orders the draws.
+func (d *Deployer) choose(c provision.Constraints, sel selection) (provision.Choice, error) {
 	switch {
-	case err == nil:
-		return choice, false, false, nil
-	case errors.Is(err, provision.ErrUntrained):
+	case sel.bootstrap:
 		it := d.catalog[d.rng.Intn(len(d.catalog))]
 		n := 1 + d.rng.Intn(c.MaxNodes)
-		return provision.Choice{Slots: []provision.Slot{{Type: it, Nodes: n}}}, true, false, nil
-	case errors.Is(err, provision.ErrNoFeasible):
-		choice, err = d.sel.SelectFastest(ctx, f, c.MaxNodes)
-		if err != nil {
-			return provision.Choice{}, false, false, err
-		}
-		return choice, false, true, nil
+		return provision.Choice{Slots: []provision.Slot{{Type: it, Nodes: n}}}, nil
+	case sel.fallback:
+		return sel.cands[0], nil
 	default:
-		return provision.Choice{}, false, false, err
+		return d.sel.Pick(sel.cands, c)
 	}
 }
 
@@ -465,25 +591,32 @@ func (d *Deployer) execute(choice provision.Choice, f eeb.CharacteristicParams, 
 // path for a valuation that panicked after its deploy. Without it the
 // predictor would keep training on the timing of a run that produced
 // garbage. The affected architecture's models are rebuilt from the remaining
-// samples, or dropped entirely when the remainder falls below the training
-// threshold. Either way the step takes a generation under the deploy mutex,
-// so a suite still training on a snapshot that held the sample is discarded
-// when it finishes.
+// samples by the learn step this section joins, or dropped here when the
+// remainder falls below the training threshold. Either way a generation is
+// taken under the deploy mutex after the removal, so a suite still training
+// on a snapshot that held the sample is discarded when it finishes.
 func (d *Deployer) forget(rep *Report) error {
 	if rep == nil || rep.sample == nil {
 		return nil
 	}
-	return d.learnAfter(func() ([]provision.Snapshot, error) {
+	return d.learnAfter(nil, func() ([]string, error) {
 		if !d.kb.Remove(*rep.sample) {
 			return nil, nil
 		}
 		arch := rep.sample.Architecture
-		snaps := d.pred.Snapshot(d.kb, arch)
-		if len(snaps) == 0 {
+		if d.kb.Count(arch) < provision.MinSamplesToTrain {
 			d.pred.Drop(arch)
+			return nil, nil
 		}
-		return snaps, nil
+		return []string{arch}, nil
 	})
+}
+
+// Relearn retrains every architecture of the knowledge base: the learn step
+// for samples that reached it other than through a deploy, such as a gossip
+// merge. It joins the convoy of the deploys in flight, or leads alone.
+func (d *Deployer) Relearn() error {
+	return d.learnAfter(nil, func() ([]string, error) { return d.kb.Architectures(), nil })
 }
 
 // checkMeasurement rejects non-positive or non-finite slot durations before
@@ -510,7 +643,7 @@ func (d *Deployer) Bootstrap(ctx context.Context, workloads []eeb.Characteristic
 	if maxNodes > MaxManualNodes {
 		return fmt.Errorf("core: bootstrap node bound %d exceeds the manual bound %d", maxNodes, MaxManualNodes)
 	}
-	return d.learnAfter(func() ([]provision.Snapshot, error) {
+	return d.learnAfter(nil, func() ([]string, error) {
 		for _, it := range d.catalog {
 			for r := 0; r < runsPerArch; r++ {
 				if err := ctx.Err(); err != nil {
@@ -524,6 +657,6 @@ func (d *Deployer) Bootstrap(ctx context.Context, workloads []eeb.Characteristic
 				}
 			}
 		}
-		return d.pred.Snapshot(d.kb, d.kb.Architectures()...), nil
+		return d.kb.Architectures(), nil
 	})
 }

@@ -165,17 +165,48 @@ func (s Sample) Features() []float64 {
 	return append([]float64{float64(s.Nodes)}, s.Params.Features()...)
 }
 
+// Count returns the number of samples recorded on one instance type.
+func (k *KB) Count(name string) int {
+	k.mu.RLock()
+	defer k.mu.RUnlock()
+	return k.count(name)
+}
+
+// count is Count with k.mu held.
+func (k *KB) count(name string) int {
+	n := 0
+	for i := range k.samples {
+		if k.samples[i].Architecture == name {
+			n++
+		}
+	}
+	return n
+}
+
 // Dataset builds the training set for one architecture: features are
 // [nodes, contracts, horizon, assets, riskfactors, outer, inner], target is
 // the measured seconds. The paper trains one model set per architecture
-// ("each of the six training set").
+// ("each of the six training set"). The set is a copy, built in one pass
+// under the read lock: its rows are cut from one backing array, each capped
+// at its own length, and nothing of it aliases the store.
 func (k *KB) Dataset(architecture string) *ml.Dataset {
 	d := ml.NewDataset(FeatureNames())
-	for _, s := range k.ByArchitecture(architecture) {
-		// Add cannot fail here: features always match the schema.
-		if err := d.Add(s.Features(), s.Seconds); err != nil {
-			panic(fmt.Sprintf("kb: internal schema error: %v", err))
+	dim := len(d.Names)
+	k.mu.RLock()
+	defer k.mu.RUnlock()
+	n := k.count(architecture)
+	flat := make([]float64, n*dim)
+	d.Instances = make([]ml.Instance, 0, n)
+	for i := range k.samples {
+		s := &k.samples[i]
+		if s.Architecture != architecture {
+			continue
 		}
+		row := flat[:dim:dim]
+		flat = flat[dim:]
+		row[0] = float64(s.Nodes)
+		copy(row[1:], s.Params.Features())
+		d.Instances = append(d.Instances, ml.Instance{Features: row, Target: s.Seconds})
 	}
 	return d
 }

@@ -3,6 +3,7 @@ package kb
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -93,6 +94,36 @@ func TestDatasetSchema(t *testing.T) {
 	}
 	if k.Dataset("nonexistent").Len() != 0 {
 		t.Fatal("unknown architecture should give empty dataset")
+	}
+}
+
+// TestDatasetRowsAreTheSamplesFeatures pins the one-pass Dataset to the
+// per-sample definition it replaced: row i is the i-th matching sample's
+// Features(), in store order; the rows share one backing array without
+// reaching into each other; Count agrees with the row count.
+func TestDatasetRowsAreTheSamplesFeatures(t *testing.T) {
+	k := New()
+	for i := 0; i < 9; i++ {
+		arch := "c4.8xlarge"
+		if i%3 == 1 {
+			arch = "m4.4xlarge"
+		}
+		_ = k.Add(sample(arch, 1+i, float64(100+i)))
+	}
+	want := k.ByArchitecture("c4.8xlarge")
+	d := k.Dataset("c4.8xlarge")
+	if d.Len() != len(want) || k.Count("c4.8xlarge") != len(want) || k.Count("nonexistent") != 0 {
+		t.Fatalf("dataset has %d rows, Count says %d, ByArchitecture %d", d.Len(), k.Count("c4.8xlarge"), len(want))
+	}
+	for i, in := range d.Instances {
+		if !slices.Equal(in.Features, want[i].Features()) || in.Target != want[i].Seconds {
+			t.Fatalf("row %d = %+v, sample %+v", i, in, want[i])
+		}
+	}
+	next := d.Instances[1].Features[0]
+	_ = append(d.Instances[0].Features, -1) // must reallocate, not spill into row 1
+	if d.Instances[1].Features[0] != next {
+		t.Fatal("appending to a row overwrote its neighbour: rows are not capacity-limited")
 	}
 }
 

@@ -66,6 +66,11 @@ func (m *IBk) Predict(features []float64) float64 {
 	for i, in := range m.data {
 		nds[i] = nd{dist: euclid(x, in.Features), target: in.Target}
 	}
+	// A full unstable sort to read k of n, on purpose: the knowledge base is
+	// tie-heavy (most samples of an architecture share one node count over a
+	// few portfolios), so WHICH k of many equidistant neighbours lead the
+	// slice is this sort's order. A selection algorithm would pick others and
+	// move predictions — and with them suite_fingerprint.json.
 	sort.Slice(nds, func(i, j int) bool { return nds[i].dist < nds[j].dist })
 
 	const eps = 1e-9

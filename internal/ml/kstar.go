@@ -2,7 +2,7 @@ package ml
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // KStar is the K* instance-based learner (Cleary & Trigg 1995) used by the
@@ -109,13 +109,13 @@ func (m *KStar) exactMatches(dists []float64) int {
 // exponential weights equals target, by bisection over a bracket derived
 // from the distance distribution.
 func (m *KStar) solveBandwidth(dists []float64, target float64) float64 {
-	sorted := make([]float64, len(dists))
-	copy(sorted, dists)
-	sort.Float64s(sorted)
 	// Bracket: tiny bandwidth (ESS -> count of nearest points) to huge
-	// bandwidth (ESS -> N).
-	lo := sorted[0]/10 + 1e-12
-	hi := sorted[len(sorted)-1]*10 + 1e-6
+	// bandwidth (ESS -> N). Only the nearest and the farthest distance are
+	// read, so a scan replaces the sorted copy this used to take; the two
+	// agree bit for bit on NaN-free distances, which is what validated
+	// samples (kb.Sample.Validate: finite positive features) give.
+	lo := slices.Min(dists)/10 + 1e-12
+	hi := slices.Max(dists)*10 + 1e-6
 
 	ess := func(s float64) float64 {
 		var sum, sumSq float64

@@ -92,6 +92,14 @@ func (p *EnsemblePredictor) Snapshot(k *kb.KB, archs ...string) []Snapshot {
 	return out
 }
 
+// Generations returns how many generations have been handed out so far, by
+// Snapshot and Drop together: the number of learn steps taken.
+func (p *EnsemblePredictor) Generations() uint64 {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.issued
+}
+
 // Train fits a fresh suite on every snapshot, the snapshots concurrently
 // and each suite's learners concurrently, and installs each suite unless a
 // newer generation of its architecture is already in place. When it

@@ -149,11 +149,11 @@ func (c Choice) String() string {
 
 // Selector implements Algorithm 1 over a predictor and an instance catalog.
 //
-// Select is safe for concurrent use: the exploration RNG is not, so its
-// draws are serialised by an internal mutex. The Deployer additionally
-// serialises whole deploy loops, but the selector is exposed through
-// Deployer.Selector() and must not rely on that outer lock — concurrent
-// Submit through a resizable pool may reach Select from many goroutines.
+// Select, Candidates and Pick are safe for concurrent use: the exploration
+// RNG is not, so its draws are serialised by an internal mutex. The Deployer
+// calls Candidates from every deploy at once, outside its own lock, and
+// orders only the Pick draws; the selector is also exposed through
+// Deployer.Selector(), where Select may be reached from many goroutines.
 type Selector struct {
 	pred    Predictor
 	catalog []cloud.InstanceType
@@ -393,7 +393,8 @@ func Frontier(cands []Choice) []Choice {
 // exceeds the MaxCost budget, then pick the cheapest point of the Pareto
 // frontier — or, with probability epsilon, a uniformly random affordable
 // candidate (exploration, which enlarges the knowledge base and reduces
-// false positives on the expected execution time).
+// false positives on the expected execution time). It is Candidates, the
+// predictions, followed by Pick, the decision.
 //
 // Deadline-feasible but budget-infeasible workloads return an
 // *OverBudgetError naming the cheapest feasible price; no candidates at
@@ -403,6 +404,16 @@ func (s *Selector) Select(ctx context.Context, f eeb.CharacteristicParams, c Con
 	if err != nil {
 		return Choice{}, err
 	}
+	return s.Pick(cands, c)
+}
+
+// Pick is the decision half of Select over candidates already enumerated:
+// the MaxCost filter, the two exploration draws, the frontier. Of c it
+// reads only MaxCost and Epsilon, so a caller may enumerate Candidates
+// before it knows the budget — the Deployer does, outside its mutex — and
+// apply the balance of the moment here. An empty cands is ErrNoFeasible and
+// draws nothing.
+func (s *Selector) Pick(cands []Choice, c Constraints) (Choice, error) {
 	if len(cands) == 0 {
 		return Choice{}, ErrNoFeasible
 	}
