@@ -7,7 +7,7 @@ import (
 )
 
 // TestValuationHotPathBenchSmoke gates the valuation walk against the
-// committed BENCH_pr23.json baseline. allocs/op guards the zero-allocation
+// committed BENCH_pr25.json baseline. allocs/op guards the zero-allocation
 // property exactly (a handful of fixed-size scratch and result slices; any
 // real leak back into the per-path loop lands thousands over it) for the
 // single-block hot path and for the three-block job walked either way; ns/op
@@ -17,7 +17,7 @@ import (
 // the job walk should cost at most 0.6x of walking its blocks one after
 // another.
 func TestValuationHotPathBenchSmoke(t *testing.T) {
-	benchgate.Run(t, "../../BENCH_pr23.json", []benchgate.Row{
+	benchgate.Run(t, "../../BENCH_pr25.json", []benchgate.Row{
 		{Name: "BenchmarkValuationHotPath", Bench: BenchmarkValuationHotPath},
 		{Name: "BenchmarkJobWalk/per-block", Bench: benchmarkPerBlockWalk, NsWarnOnly: true},
 		{Name: "BenchmarkJobWalk/job", Bench: benchmarkJobWalk, NsWarnOnly: true},

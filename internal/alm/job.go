@@ -30,7 +30,7 @@ const (
 // all mutable state of a walk lives in its own scratch.
 type JobValuer struct {
 	blocks []*eeb.Block
-	books  [][]policy.Kernel // per block, one kernel per contract
+	books  []policy.Book // per block, one kernel per contract
 	src    stochastic.Source
 	fund   *fund.Fund
 	pool   *stochastic.BatchPool // panel pool; never nil after construction
@@ -87,7 +87,7 @@ func newJobValuer(blocks []*eeb.Block, seed uint64, assume Assumptions) (*JobVal
 	if j.pool == nil {
 		j.pool = stochastic.SharedBatchPool()
 	}
-	j.books = make([][]policy.Kernel, len(blocks))
+	j.books = make([]policy.Book, len(blocks))
 	for bi, b := range blocks {
 		j.maxTerm = max(j.maxTerm, b.Portfolio.MaxTerm())
 		if j.books[bi], err = compileBook(b, assume); err != nil {
@@ -100,12 +100,12 @@ func newJobValuer(blocks []*eeb.Block, seed uint64, assume Assumptions) (*JobVal
 // compileBook computes the type-A decrement table of every representative
 // contract of the block, on the resolved assumptions scaled by the block's
 // biometric basis, and compiles the contracts against them.
-func compileBook(b *eeb.Block, assume Assumptions) ([]policy.Kernel, error) {
+func compileBook(b *eeb.Block, assume Assumptions) (policy.Book, error) {
 	lapse := assume.lapse()
 	if f := b.Biometric.LapseScale(); f != 1 {
 		lapse = actuarial.LapseStress{Base: lapse, Factor: f}
 	}
-	book := make([]policy.Kernel, len(b.Portfolio.Contracts))
+	book := make(policy.Book, len(b.Portfolio.Contracts))
 	for i, c := range b.Portfolio.Contracts {
 		mort := assume.mortality(c.Gender)
 		if f := b.Biometric.MortalityScale(); f != 1 {
@@ -196,11 +196,7 @@ func (j *JobValuer) addPresentValues(outerReturn float64, inner *stochastic.Scen
 	copy(returns[1:], j.fund.ReturnsInto(inner, j.maxTerm-1, sc.book, sc.market, sc.idx))
 	disc := inner.DiscountsAt(sc.idx[:j.maxTerm], sc.disc)
 	for bi, book := range j.books {
-		total := 0.0
-		for c := range book {
-			total += book[c].PresentValue(returns, disc)
-		}
-		sc.y1[bi] += total
+		sc.y1[bi] += book.PresentValue(returns, disc)
 	}
 }
 

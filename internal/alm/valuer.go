@@ -28,6 +28,7 @@ import (
 
 	"disarcloud/internal/actuarial"
 	"disarcloud/internal/eeb"
+	"disarcloud/internal/stochastic"
 )
 
 // DefaultLapse is the lapse assumption used when a block does not override
@@ -147,6 +148,10 @@ func (v *Valuer) ValueOuters(ctx context.Context, indices []int, nInner int, onP
 	}
 	return out, nil
 }
+
+// FeatureDrivers is the set of risk drivers Features reads directly; the
+// fund book return among the features reads its fund's (fund.Config.Drivers).
+const FeatureDrivers = stochastic.RateDriver | stochastic.EquityDriver | stochastic.CreditDriver
 
 // Features returns the LSMC regression features of an outer state:
 // the year-1 short rate, the year-1 fund book return, the year-1 credit

@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"reflect"
+	"sync"
 	"time"
 
+	"disarcloud/internal/alm"
 	"disarcloud/internal/stochastic"
 	"disarcloud/internal/stress"
 )
@@ -111,7 +115,11 @@ func (c *campaign) terminal() bool {
 // and deploy path (each revaluation is transparently deployed and feeds the
 // knowledge base like any single job). Unless NoScenarioReuse is set, the
 // base correlated paths are generated once into a shared scenario set and
-// every module derives its paths from it by shift/rescale.
+// every module derives its paths from it by shift/rescale. A module whose
+// valuation is the base's bit for bit — its shock moves only drivers nothing
+// reads, like the currency shock on a fund with no foreign sleeve — is still
+// deployed, billed and recorded as its own job, but shares the base's walk
+// instead of repeating it.
 //
 // Submission is all-or-nothing: if any job is rejected (queue full, closed
 // service), the already-submitted jobs are cancelled and the error returned.
@@ -150,27 +158,7 @@ func (s *Service) SubmitCampaign(ctx context.Context, cs CampaignSpec) (Campaign
 			}
 		}
 	}
-	// The campaign's scenario backbone: a memoizing shared set, or a plain
-	// per-access generator when reuse is off. Either way every module's
-	// paths derive from the SAME base streams (common random numbers), so
-	// the per-module deltas carry no Monte Carlo noise between modules and
-	// are identical with and without reuse.
-	var base stochastic.Source
-	if cs.NoScenarioReuse {
-		base = stochastic.NewPathSource(gen, cs.Base.Seed)
-	} else {
-		base = stochastic.NewSet(gen, cs.Base.Seed)
-	}
-	// The serializable recipe behind the shared source: every job of the
-	// campaign carries a ref differing only in Transform, so a cluster node
-	// rebuilds ONE base set (the refs share a base key) and all modules
-	// derive from it — scenario reuse survives the trip across the wire.
-	baseRef := stochastic.Ref{Market: cs.Base.Market, Seed: cs.Base.Seed, Memoize: !cs.NoScenarioReuse}
-
-	baseSpec := cs.Base
-	baseSpec.Scenarios = base
-	baseSpec.ScenarioRef = &baseRef
-	baseSpec.budget = acct
+	baseSpec, moduleSpecs := campaignSpecs(cs, shocks, gen, acct)
 	// Job pointers are taken at submission time: a lookup through the job
 	// map after the loop could race eviction on a small-retention service.
 	submitted := make([]*job, 0, len(shocks)+1)
@@ -187,15 +175,7 @@ func (s *Service) SubmitCampaign(ctx context.Context, cs CampaignSpec) (Campaign
 	moduleJobs := make([]*job, len(shocks))
 	modules := make([]stress.Module, len(shocks))
 	for k, sh := range shocks {
-		spec := cs.Base
-		spec.Market = sh.Market.Config(cs.Base.Market)
-		spec.Biometric = cs.Base.Biometric.Compose(sh.Biometric)
-		spec.Scenarios = stochastic.Derived(base, sh.Market)
-		ref := baseRef
-		ref.Transform = sh.Market
-		spec.ScenarioRef = &ref
-		spec.budget = acct
-		j, err := s.submitJob(ctx, spec)
+		j, err := s.submitJob(ctx, moduleSpecs[k])
 		if err != nil {
 			rollback()
 			return "", fmt.Errorf("core: campaign module %s: %w", sh.Module, err)
@@ -217,6 +197,131 @@ func (s *Service) SubmitCampaign(ctx context.Context, cs CampaignSpec) (Campaign
 	s.campaigns[cid] = c
 	s.campaignOrder = append(s.campaignOrder, cid)
 	return cid, nil
+}
+
+// campaignSpecs builds the base job's spec and one spec per shock, all
+// drawing on one scenario backbone and the campaign's budget accountant, and
+// hands the base and every module that shares its valuation (sharesBase)
+// one sharedWalk.
+func campaignSpecs(cs CampaignSpec, shocks []stress.Shock, gen *stochastic.Generator, acct *costAccountant) (SimulationSpec, []SimulationSpec) {
+	// The campaign's scenario backbone: a memoizing shared set, or a plain
+	// per-access generator when reuse is off. Either way every module's
+	// paths derive from the SAME base streams (common random numbers), so
+	// the per-module deltas carry no Monte Carlo noise between modules and
+	// are identical with and without reuse.
+	var base stochastic.Source
+	if cs.NoScenarioReuse {
+		base = stochastic.NewPathSource(gen, cs.Base.Seed)
+	} else {
+		base = stochastic.NewSet(gen, cs.Base.Seed)
+	}
+	// The serializable recipe behind the shared source: every job of the
+	// campaign carries a ref differing only in Transform, so a cluster node
+	// rebuilds ONE base set (the refs share a base key) and all modules
+	// derive from it — scenario reuse survives the trip across the wire.
+	baseRef := stochastic.Ref{Market: cs.Base.Market, Seed: cs.Base.Seed, Memoize: !cs.NoScenarioReuse}
+
+	baseSpec := cs.Base
+	baseSpec.Scenarios = base
+	baseSpec.ScenarioRef = &baseRef
+	baseSpec.budget = acct
+	modules := make([]SimulationSpec, len(shocks))
+	for k, sh := range shocks {
+		spec := cs.Base
+		spec.Market = sh.Market.Config(cs.Base.Market)
+		spec.Biometric = cs.Base.Biometric.Compose(sh.Biometric)
+		spec.Scenarios = stochastic.Derived(base, sh.Market)
+		ref := baseRef
+		ref.Transform = sh.Market
+		spec.ScenarioRef = &ref
+		spec.budget = acct
+		if sharesBase(cs.Base, sh) {
+			if baseSpec.shared == nil {
+				baseSpec.shared = new(sharedWalk)
+			}
+			spec.shared = baseSpec.shared
+		}
+		modules[k] = spec
+	}
+	return baseSpec, modules
+}
+
+// sharesBase reports, from the inputs alone, whether the shocked valuation
+// is the base's bit for bit: the shock leaves the decrements alone, leaves
+// the market model the fund's bonds are priced on alone, and moves only
+// drivers nothing reads. The liabilities read the fund's credited returns
+// and the discount curve, so the rate always counts; the fund says what its
+// sleeves read; a proxied valuation also regresses on the drivers of its
+// features.
+func sharesBase(base SimulationSpec, sh stress.Shock) bool {
+	if !sh.Biometric.IsZero() || !reflect.DeepEqual(sh.Market.Config(base.Market), base.Market) {
+		return false
+	}
+	reads := stochastic.RateDriver | base.Fund.Drivers()
+	if base.Proxy != nil {
+		reads |= alm.FeatureDrivers
+	}
+	return sh.Market.Drivers()&reads == 0
+}
+
+// sharedWalk is the one valuation a campaign's base and the modules that
+// share it (sharesBase) all compute. The first of those jobs to reach the
+// walk runs it under its own context; a job that arrives while it runs waits
+// on that run — never on a queued job, so no pool size can deadlock on it —
+// and one that arrives after it succeeded takes its results. A run that
+// fails leaves nothing behind: a waiter whose own context is still live then
+// walks itself, so no job inherits another's cancellation, deadline or
+// fault.
+type sharedWalk struct {
+	mu      sync.Mutex
+	running chan struct{} // closed when the run in flight ends; nil when none is
+	settled bool          // a run succeeded: results and proxy are its
+	results map[string]*alm.Result
+	proxy   *ProxyReport
+}
+
+// do returns the shared valuation, running walk for it unless another job's
+// run already produced it or is producing it; shared reports that the
+// results are another job's run. On a nil sharedWalk it is walk(). The
+// *alm.Result values are shared between the jobs, and read-only as always;
+// every job gets a map of its own.
+func (w *sharedWalk) do(ctx context.Context, walk func() (map[string]*alm.Result, *ProxyReport, error)) (results map[string]*alm.Result, proxy *ProxyReport, shared bool, err error) {
+	if w == nil {
+		results, proxy, err = walk()
+		return results, proxy, false, err
+	}
+	w.mu.Lock()
+	for w.running != nil {
+		running := w.running
+		w.mu.Unlock()
+		select {
+		case <-running:
+		case <-ctx.Done():
+			return nil, nil, false, ctx.Err()
+		}
+		w.mu.Lock()
+	}
+	if w.settled {
+		defer w.mu.Unlock()
+		return maps.Clone(w.results), w.proxy, true, nil
+	}
+	done := make(chan struct{})
+	w.running = done
+	w.mu.Unlock()
+	// Deferred, so a panicking walk releases its waiters too.
+	returned := false
+	defer func() {
+		w.mu.Lock()
+		if returned && err == nil {
+			w.settled, w.results, w.proxy = true, maps.Clone(results), proxy
+		}
+		w.running = nil
+		w.mu.Unlock()
+		close(done)
+	}()
+	results, proxy, err = walk()
+	returned = true
+	return results, proxy, false, err
 }
 
 // CampaignStatus returns a snapshot of the campaign.

@@ -140,8 +140,11 @@ func TestConvoyAcrossArchitectures(t *testing.T) {
 // parkFirst installs a hook that parks the first deploy to reach its
 // "candidates" point — counted in flight, not yet at the mutex — until the
 // returned release is called; after release, that deploy panics at point
-// panicAt ("" = never). Later deploys pass through.
-func parkFirst(d *Deployer, panicAt string) (release func()) {
+// panicAt ("" = never). Later deploys pass through. parked reports whether
+// the first deploy has reached the hook: being counted is not enough, since
+// a deploy started after it may overtake it to the hook and be the one
+// parked.
+func parkFirst(d *Deployer, panicAt string) (parked func() bool, release func()) {
 	var first, released atomic.Bool
 	gate := make(chan struct{})
 	d.hook = func(point string) {
@@ -158,17 +161,17 @@ func parkFirst(d *Deployer, panicAt string) (release func()) {
 			panic("convoy test: deliberate panic inside the section")
 		}
 	}
-	return func() {
+	return first.Load, func() {
 		released.Store(true)
 		close(gate)
 	}
 }
 
-// followersBehindParked starts the last member (parked by the hook), then
-// n followers, and returns once every follower has handed off to it. The
-// caller releases the parked member and then calls wait, which returns the
-// followers' errors.
-func followersBehindParked(t *testing.T, d *Deployer, n int, last func()) (wait func() []error) {
+// followersBehindParked starts the last member (to be parked by the hook
+// parkFirst installed), waits until it is, then starts n followers, and
+// returns once every follower has handed off to it. The caller releases the
+// parked member and then calls wait, which returns the followers' errors.
+func followersBehindParked(t *testing.T, d *Deployer, n int, parked func() bool, last func()) (wait func() []error) {
 	t.Helper()
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -176,7 +179,7 @@ func followersBehindParked(t *testing.T, d *Deployer, n int, last func()) (wait 
 		defer wg.Done()
 		last()
 	}()
-	pollUntil(t, "the last member to be counted", inFlight(d, 1))
+	pollUntil(t, "the last member to park", parked)
 	size := d.KB().Len()
 	errs := make([]error, n)
 	run := seededDeploy(d)
@@ -230,9 +233,9 @@ func TestConvoyLastMemberFails(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			d := warmDeployer(t, seed, 1)
 			size, gens := d.KB().Len(), d.Predictor().Generations()
-			release := parkFirst(d, "")
+			parked, release := parkFirst(d, "")
 			var lastErr error
-			wait := followersBehindParked(t, d, convoyProcs-1, func() { lastErr = tc.last(d) })
+			wait := followersBehindParked(t, d, convoyProcs-1, parked, func() { lastErr = tc.last(d) })
 			release()
 			assertAllNil(t, wait())
 			if !tc.is(lastErr) {
@@ -299,7 +302,7 @@ func TestForgetJoinsAConvoy(t *testing.T) {
 			t.Fatal(err)
 		}
 		size, gens := d.KB().Len(), d.Predictor().Generations()
-		release := parkFirst(d, "")
+		parked, release := parkFirst(d, "")
 		var wg sync.WaitGroup
 		var lastErr, forgetErr error
 		wg.Add(1)
@@ -307,7 +310,7 @@ func TestForgetJoinsAConvoy(t *testing.T) {
 			defer wg.Done()
 			_, lastErr = d.DeploySeeded(ctx, workload(), constraints(), 9)
 		}()
-		pollUntil(t, "the last member to be counted", inFlight(d, 1))
+		pollUntil(t, "the last member to park", parked)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -344,13 +347,13 @@ func TestForgetJoinsAConvoy(t *testing.T) {
 		if !d.Predictor().Trained(arch) {
 			t.Fatalf("%s untrained at the threshold", arch)
 		}
-		release := parkFirst(d, "")
+		parked, release := parkFirst(d, "")
 		done := make(chan error)
 		go func() {
 			_, err := d.DeploySeeded(ctx, workload(), constraints(), 9)
 			done <- err
 		}()
-		pollUntil(t, "the last member to be counted", inFlight(d, 1))
+		pollUntil(t, "the last member to park", parked)
 		// Not a follower: it returns with the deploy behind it still parked.
 		forgot := make(chan error, 1)
 		go func() { forgot <- d.forget(rep) }()
@@ -392,9 +395,9 @@ func TestConvoySurvivesAPanickingLeader(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			size, gens := d.KB().Len(), d.Predictor().Generations()
 
-			release := parkFirst(d, point)
+			parked, release := parkFirst(d, point)
 			var recovered any
-			wait := followersBehindParked(t, d, convoyProcs-1, func() {
+			wait := followersBehindParked(t, d, convoyProcs-1, parked, func() {
 				defer func() { recovered = recover() }()
 				_, _ = d.DeploySeeded(ctx, workload(), constraints(), 1)
 			})

@@ -72,6 +72,10 @@ type SimulationSpec struct {
 	// every module's spec; standalone jobs with Constraints.MaxCost > 0 get
 	// a private one inside RunSimulation.
 	budget *costAccountant
+	// shared, when non-nil, is the valuation this job computes bit for bit
+	// with others: SubmitCampaign hands the base and every module whose
+	// shock nothing reads one sharedWalk, and the walk runs once for them.
+	shared *sharedWalk
 }
 
 // Validate reports whether the spec is well-formed.
@@ -271,22 +275,36 @@ func (d *Deployer) RunSimulation(ctx context.Context, spec SimulationSpec) (*Sim
 		_ = d.forget(deployRep) // a split that fails produced no valuation
 		return nil, err
 	}
-	var results map[string]*alm.Result
-	var proxyRep *ProxyReport
-	switch {
-	case spec.Proxy != nil:
-		results, proxyRep, err = runProxyValuation(ctx, blocks, workers, spec.Seed, *spec.Proxy, spec.OnProgress)
-	case useRunner:
-		results, err = d.runner.RunBlocks(ctx, BlockRunRequest{
-			Blocks:      blocks,
-			Seed:        spec.Seed,
-			Workers:     workers,
-			PaceSeconds: paceSeconds,
-			OnProgress:  spec.OnProgress,
-		})
-	default:
-		master := &grid.Master{Workers: workers, Seed: spec.Seed, OnProgress: spec.OnProgress}
-		results, err = master.Run(ctx, blocks)
+	// The walk is the only step a job sharing its valuation may skip: the
+	// deploy above, and with it the KB sample and the bill, stay its own.
+	// (Under a runner the pacing is part of the walk, and shared with it.)
+	results, proxyRep, shared, err := spec.shared.do(ctx, func() (map[string]*alm.Result, *ProxyReport, error) {
+		d.at("walk")
+		switch {
+		case spec.Proxy != nil:
+			return runProxyValuation(ctx, blocks, workers, spec.Seed, *spec.Proxy, spec.OnProgress)
+		case useRunner:
+			results, err := d.runner.RunBlocks(ctx, BlockRunRequest{
+				Blocks:      blocks,
+				Seed:        spec.Seed,
+				Workers:     workers,
+				PaceSeconds: paceSeconds,
+				OnProgress:  spec.OnProgress,
+			})
+			return results, nil, err
+		default:
+			master := &grid.Master{Workers: workers, Seed: spec.Seed, OnProgress: spec.OnProgress}
+			results, err := master.Run(ctx, blocks)
+			return results, nil, err
+		}
+	})
+	if shared && spec.OnProgress != nil {
+		// Report the shared walk's paths as this job's own, as its own walk
+		// would have: one event per outer path of every block.
+		onPath := grid.NewProgressCounter(spec.OnProgress).OnPath(eeb.TypeB(blocks))
+		for range spec.Outer {
+			onPath()
+		}
 	}
 	if err != nil {
 		// A crashed valuation (a worker-rank panic surfaces here as an

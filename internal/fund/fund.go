@@ -129,6 +129,30 @@ func (c Config) Validate(market stochastic.Config) error {
 // number" characteristic parameter of the ML models.
 func (c Config) NumAssets() int { return len(c.Assets) }
 
+// Drivers returns the risk drivers the fund's sleeves read: the short rate
+// for a bond sleeve, the credit intensity for a corporate one, the equity
+// indices for an equity sleeve, and the currency indices for any sleeve
+// denominated abroad. A scenario shock that moves none of them leaves every
+// return the fund credits where it was, bit for bit. (A bond leg with no
+// corporate sleeve reads the intensity only to multiply it by zero.)
+func (c Config) Drivers() stochastic.Drivers {
+	var d stochastic.Drivers
+	for _, a := range c.Assets {
+		switch a.Kind {
+		case GovernmentBond:
+			d |= stochastic.RateDriver
+		case CorporateBond:
+			d |= stochastic.RateDriver | stochastic.CreditDriver
+		case Equity:
+			d |= stochastic.EquityDriver
+		}
+		if a.Currency != 0 {
+			d |= stochastic.CurrencyDriver
+		}
+	}
+	return d
+}
+
 // Fund evaluates book-value return paths along scenarios. What does not
 // depend on the path is worked out once, in New:
 //

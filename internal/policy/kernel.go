@@ -83,3 +83,19 @@ func (kn *Kernel) PresentValue(returns, disc []float64) float64 {
 	}
 	return pv
 }
+
+// Book is a block's contracts compiled for the walk, in contract order.
+type Book []Kernel
+
+// PresentValue returns the sum of the contracts' present values along one
+// path, added in contract order — bit for bit what a loop over the kernels
+// returns. It is the walk's one call per (block, inner path), and it stays a
+// call on purpose: inlined into the walk's per-path function, the kernel's
+// year counter is spilled to the stack and reloaded every contract-year.
+func (b Book) PresentValue(returns, disc []float64) float64 {
+	total := 0.0
+	for c := range b {
+		total += b[c].PresentValue(returns, disc)
+	}
+	return total
+}

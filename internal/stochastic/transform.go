@@ -40,12 +40,48 @@ type Transform struct {
 	CreditFactor float64
 }
 
+// Drivers is a set of the market model's risk drivers: what a transform
+// moves, and what a valuation reads (fund.Config.Drivers).
+type Drivers uint8
+
+const (
+	// RateDriver is the short rate, and with it the discount curve.
+	RateDriver Drivers = 1 << iota
+	// EquityDriver is every equity index.
+	EquityDriver
+	// CurrencyDriver is every currency index.
+	CurrencyDriver
+	// CreditDriver is the credit intensity.
+	CreditDriver
+)
+
 // factorOr1 normalises the "zero means unshocked" convention.
 func factorOr1(f float64) float64 {
 	if f == 0 {
 		return 1
 	}
 	return f
+}
+
+// Drivers returns the risk drivers whose paths the transform moves. A rate
+// shift moves the rate and, through the risk-neutral drift of the inner
+// paths, every equity and currency index too; each factor other than 1 moves
+// its own driver. The identity moves none.
+func (t Transform) Drivers() Drivers {
+	var d Drivers
+	if t.RateShift != 0 {
+		d |= RateDriver | EquityDriver | CurrencyDriver
+	}
+	if factorOr1(t.EquityFactor) != 1 {
+		d |= EquityDriver
+	}
+	if factorOr1(t.CurrencyFactor) != 1 {
+		d |= CurrencyDriver
+	}
+	if factorOr1(t.CreditFactor) != 1 {
+		d |= CreditDriver
+	}
+	return d
 }
 
 // IsZero reports whether the transform is the identity.
