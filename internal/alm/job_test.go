@@ -242,7 +242,8 @@ func TestJobWalkMatchesPerBlockReference(t *testing.T) {
 		src  func() stochastic.Source
 	}{
 		{"path source", func() stochastic.Source { return stochastic.NewPathSource(gen, seed) }},
-		{"memoising set (scalar fallback)", func() stochastic.Source { return stochastic.NewSet(gen, seed) }},
+		{"memoising set (batched)", func() stochastic.Source { return stochastic.NewSet(gen, seed) }},
+		{"memoising set (scalar fallback)", func() stochastic.Source { return opaqueSource{stochastic.NewSet(gen, seed)} }},
 		{"derived view with a rate shock", func() stochastic.Source {
 			return stochastic.Derived(stochastic.NewSet(gen, seed), stochastic.Transform{RateShift: 0.01})
 		}},

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,6 +12,7 @@ import (
 	"disarcloud/internal/eeb"
 	"disarcloud/internal/fund"
 	"disarcloud/internal/grid"
+	"disarcloud/internal/leakcheck"
 	"disarcloud/internal/stochastic"
 	"disarcloud/internal/stress"
 )
@@ -396,7 +396,7 @@ func TestCampaignSharedWalkEitherStartOrder(t *testing.T) {
 // both leaves both terminal. Either way no goroutine outlives the service.
 func TestCampaignCancelledBaseLeavesFXTerminal(t *testing.T) {
 	for _, cancelFX := range []bool{false, true} {
-		baseline := runtime.NumGoroutine()
+		noLeak := leakcheck.Goroutines(t)
 		d, err := NewDeployer(109)
 		if err != nil {
 			t.Fatal(err)
@@ -449,6 +449,6 @@ func TestCampaignCancelledBaseLeavesFXTerminal(t *testing.T) {
 			assertSameBits(t, "fx vs base walked alone", rep.Results, walkAlone(t, base))
 		}
 		svc.Close()
-		pollUntil(t, "the service's goroutines to exit", func() bool { return runtime.NumGoroutine() <= baseline })
+		noLeak()
 	}
 }

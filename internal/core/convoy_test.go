@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"disarcloud/internal/cloud"
+	"disarcloud/internal/leakcheck"
 	"disarcloud/internal/provision"
 	"disarcloud/internal/stochastic"
 )
@@ -392,7 +393,7 @@ func TestConvoySurvivesAPanickingLeader(t *testing.T) {
 	for _, point := range []string{"candidates", "section"} {
 		t.Run(point, func(t *testing.T) {
 			d := warmDeployer(t, seed, 1)
-			baseline := runtime.NumGoroutine()
+			noLeak := leakcheck.Goroutines(t)
 			size, gens := d.KB().Len(), d.Predictor().Generations()
 
 			parked, release := parkFirst(d, point)
@@ -444,7 +445,7 @@ func TestConvoySurvivesAPanickingLeader(t *testing.T) {
 			}
 			assertPredictorMatchesKB(t, d, seed)
 
-			pollUntil(t, "the scenario's goroutines to exit", func() bool { return runtime.NumGoroutine() <= baseline })
+			noLeak()
 		})
 	}
 }

@@ -3,14 +3,13 @@ package grid
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"disarcloud/internal/alm"
+	"disarcloud/internal/leakcheck"
 )
 
 func TestSplitRangeCoversExactly(t *testing.T) {
@@ -167,19 +166,11 @@ func TestRunLeavesNoGoroutineBehind(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			baseline := runtime.NumGoroutine()
+			noLeak := leakcheck.Goroutines(t)
 			if err := tc.run(); err != nil {
 				t.Fatal(err)
 			}
-			// Run has joined its ranks, but an exited goroutine leaves the
-			// count a moment after its last statement: poll, do not sleep.
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > baseline {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), baseline)
-				}
-				runtime.Gosched()
-			}
+			noLeak()
 		})
 	}
 }

@@ -180,12 +180,6 @@ type OuterBatcher interface {
 	OuterBatch(i0, n int, b *Batch)
 }
 
-// batchShaper lets a non-batching source (the memoizing Set) report its
-// panel shape, so a derived view over it can still batch by copying.
-type batchShaper interface {
-	newBatch(pool *BatchPool, capacity int) *Batch
-}
-
 // NewBatch implements InnerBatcher.
 func (p *PathSource) NewBatch(pool *BatchPool, capacity int) *Batch {
 	return p.gen.newBatch(pool, capacity)
@@ -198,9 +192,16 @@ func (p *PathSource) InnerBatch(i, j0, n int, outer *Scenario, branchYear float6
 	b.dt = p.gen.dt
 	var rng finmath.RNG
 	for q := 0; q < n; q++ {
-		rng.Reseed(innerSeed(p.seed, i, j0+q))
-		p.gen.generateInto(&rng, RiskNeutral, outer, branchYear, &b.views[q], b.genScratch)
+		p.innerInto(&rng, i, j0+q, outer, branchYear, &b.views[q], b.genScratch)
 	}
+}
+
+// innerInto generates inner path j of outer path i into the view v — the
+// stream Inner draws, reseeding the caller's rng. Batched fills and the
+// memoizing Set's panels both generate through it.
+func (p *PathSource) innerInto(rng *finmath.RNG, i, j int, outer *Scenario, branchYear float64, v *Scenario, scratch []float64) {
+	rng.Reseed(innerSeed(p.seed, i, j))
+	p.gen.generateInto(rng, RiskNeutral, outer, branchYear, v, scratch)
 }
 
 // OuterBatch implements OuterBatcher.
@@ -214,42 +215,22 @@ func (p *PathSource) OuterBatch(i0, n int, b *Batch) {
 	}
 }
 
-// newBatch implements batchShaper: a set serves cached paths by pointer, so
-// it does not batch itself, but derived views over it size their copy
-// panels here.
-func (s *Set) newBatch(pool *BatchPool, capacity int) *Batch {
-	return s.src.gen.newBatch(pool, capacity)
-}
-
 // NewBatch implements InnerBatcher for the shocked view: panels are sized by
-// the base source when it can report a shape, and nil (scalar fallback)
-// otherwise.
+// the base source when it batches, and nil (scalar fallback) otherwise.
 func (d *derivedSource) NewBatch(pool *BatchPool, capacity int) *Batch {
-	switch base := d.base.(type) {
-	case InnerBatcher:
+	if base, ok := d.base.(InnerBatcher); ok {
 		return base.NewBatch(pool, capacity)
-	case batchShaper:
-		return base.newBatch(pool, capacity)
-	default:
-		return nil
 	}
+	return nil
 }
 
 // InnerBatch implements InnerBatcher: the base paths land in the panels
-// (batched generation, or copies of the memoized paths) and the shock is
+// (batched generation, or copies out of a memoizing Set) and the shock is
 // applied to the whole panel in place — one transform pass instead of one
-// freshly allocated Derived scenario per path per access.
+// freshly allocated Derived scenario per path per access. b comes from
+// NewBatch, so the base batches.
 func (d *derivedSource) InnerBatch(i, j0, n int, _ *Scenario, branchYear float64, b *Batch) {
-	baseOuter := d.base.Outer(i)
-	if base, ok := d.base.(InnerBatcher); ok {
-		base.InnerBatch(i, j0, n, baseOuter, branchYear, b)
-	} else {
-		b.n = n
-		for q := 0; q < n; q++ {
-			copyScenarioInto(d.base.Inner(i, j0+q, baseOuter, branchYear), &b.views[q])
-		}
-		b.dt = b.views[0].Dt
-	}
+	d.base.(InnerBatcher).InnerBatch(i, j0, n, d.base.Outer(i), branchYear, b)
 	d.t.ApplyInnerBatch(b)
 }
 
@@ -265,6 +246,28 @@ func (d *derivedSource) OuterBatch(i0, n int, b *Batch) {
 		b.dt = b.views[0].Dt
 	}
 	d.t.ApplyOuterBatch(b)
+}
+
+// copyColumns copies paths from..from+n-1 of src into paths 0..n-1 of dst —
+// one contiguous copy per risk factor, the panels being column-major — and
+// stamps the grid spacing on dst and on every copied view. Both batches have
+// the same grid.
+func copyColumns(dst, src *Batch, from, n int) {
+	cols := src.shape.steps + 1
+	lo, hi := from*cols, (from+n)*cols
+	copy(dst.rates, src.rates[lo:hi])
+	copy(dst.credit, src.credit[lo:hi])
+	copy(dst.discount, src.discount[lo:hi])
+	for k := range src.equities {
+		copy(dst.equities[k], src.equities[k][lo:hi])
+	}
+	for k := range src.currencies {
+		copy(dst.currencies[k], src.currencies[k][lo:hi])
+	}
+	dst.dt = src.dt
+	for q := range dst.views[:n] {
+		dst.views[q].Dt = src.dt
+	}
 }
 
 // copyScenarioInto copies src into the pre-wired view dst. Lengths must

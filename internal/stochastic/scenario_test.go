@@ -337,18 +337,11 @@ func TestSetConcurrentShardedAccess(t *testing.T) {
 // single-mutex contention).
 func TestSetShardSpread(t *testing.T) {
 	outerHits := make(map[uint64]int)
-	innerHits := make(map[uint64]int)
 	for i := 0; i < 256; i++ {
-		outerHits[outerShard(i)]++
-		for j := 0; j < 8; j++ {
-			innerHits[innerShard(i, j)]++
-		}
+		outerHits[shardOf(i)]++
 	}
 	if len(outerHits) < setShards/2 {
 		t.Fatalf("outer indices hash onto only %d of %d shards", len(outerHits), setShards)
-	}
-	if len(innerHits) < setShards/2 {
-		t.Fatalf("inner indices hash onto only %d of %d shards", len(innerHits), setShards)
 	}
 	for sh := range outerHits {
 		if sh >= setShards {
