@@ -442,12 +442,12 @@ func BenchmarkCampaignIndependent(b *testing.B) {
 }
 
 // TestCampaignReuseBenchSmoke gates BenchmarkCampaignReuse against
-// BENCH_pr26.json. The shared scenario set memoises one panel per outer path,
-// not one scenario per inner path, so allocs/op and bytes/op are what a
-// regression moves first and hard-fail; ns/op follows the runner's core
-// count and only warns.
+// BENCH_pr27.json. The shared scenario set memoises one panel per outer path,
+// not one scenario per inner path, and the campaign walks once per distinct
+// market, so allocs/op and bytes/op are what a regression moves first and
+// hard-fail; ns/op follows the runner's core count and only warns.
 func TestCampaignReuseBenchSmoke(t *testing.T) {
-	benchgate.Run(t, "BENCH_pr26.json", []benchgate.Row{
+	benchgate.Run(t, "BENCH_pr27.json", []benchgate.Row{
 		{Name: "BenchmarkCampaignReuse", Bench: BenchmarkCampaignReuse, BytesToo: true, NsWarnOnly: true},
 	})
 }

@@ -4,12 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"reflect"
 	"sync"
 	"time"
 
 	"disarcloud/internal/alm"
+	"disarcloud/internal/eeb"
+	"disarcloud/internal/grid"
 	"disarcloud/internal/stochastic"
 	"disarcloud/internal/stress"
 )
@@ -116,10 +117,11 @@ func (c *campaign) terminal() bool {
 // knowledge base like any single job). Unless NoScenarioReuse is set, the
 // base correlated paths are generated once into a shared scenario set and
 // every module derives its paths from it by shift/rescale. A module whose
-// valuation is the base's bit for bit — its shock moves only drivers nothing
-// reads, like the currency shock on a fund with no foreign sleeve — is still
-// deployed, billed and recorded as its own job, but shares the base's walk
-// instead of repeating it.
+// market is the base's bit for bit — its shock moves only the decrements or
+// drivers nothing reads, like the mortality shock, or the currency shock on
+// a fund with no foreign sleeve — is still deployed, billed and recorded as
+// its own job, but rides the base's walk as an extra book instead of
+// walking the same scenarios again.
 //
 // Submission is all-or-nothing: if any job is rejected (queue full, closed
 // service), the already-submitted jobs are cancelled and the error returned.
@@ -201,8 +203,8 @@ func (s *Service) SubmitCampaign(ctx context.Context, cs CampaignSpec) (Campaign
 
 // campaignSpecs builds the base job's spec and one spec per shock, all
 // drawing on one scenario backbone and the campaign's budget accountant, and
-// hands the base and every module that shares its valuation (sharesBase)
-// one sharedWalk.
+// hands the base and every module that shares its market (sharesMarket) one
+// sharedWalk, which records each rider's decrement basis.
 func campaignSpecs(cs CampaignSpec, shocks []stress.Shock, gen *stochastic.Generator, acct *costAccountant) (SimulationSpec, []SimulationSpec) {
 	// The campaign's scenario backbone: a memoizing shared set, or a plain
 	// per-access generator when reuse is off. Either way every module's
@@ -235,9 +237,12 @@ func campaignSpecs(cs CampaignSpec, shocks []stress.Shock, gen *stochastic.Gener
 		ref.Transform = sh.Market
 		spec.ScenarioRef = &ref
 		spec.budget = acct
-		if sharesBase(cs.Base, sh) {
+		if sharesMarket(cs.Base, sh) {
 			if baseSpec.shared == nil {
-				baseSpec.shared = new(sharedWalk)
+				baseSpec.shared = &sharedWalk{src: base, ref: &baseRef, bases: []eeb.Biometric{cs.Base.Biometric}}
+			}
+			if w := baseSpec.shared; w.basis(spec.Biometric) < 0 {
+				w.bases = append(w.bases, spec.Biometric)
 			}
 			spec.shared = baseSpec.shared
 		}
@@ -246,33 +251,47 @@ func campaignSpecs(cs CampaignSpec, shocks []stress.Shock, gen *stochastic.Gener
 	return baseSpec, modules
 }
 
-// sharesBase reports, from the inputs alone, whether the shocked valuation
-// is the base's bit for bit: the shock leaves the decrements alone, leaves
-// the market model the fund's bonds are priced on alone, and moves only
-// drivers nothing reads. The liabilities read the fund's credited returns
-// and the discount curve, so the rate always counts; the fund says what its
-// sleeves read; a proxied valuation also regresses on the drivers of its
-// features.
-func sharesBase(base SimulationSpec, sh stress.Shock) bool {
-	if !sh.Biometric.IsZero() || !reflect.DeepEqual(sh.Market.Config(base.Market), base.Market) {
+// sharesMarket reports, from the inputs alone, whether the shocked
+// valuation walks the base's market bit for bit: the shock leaves the market
+// model the fund's bonds are priced on alone and moves only drivers nothing
+// reads. The liabilities read the fund's credited returns and the discount
+// curve, so the rate always counts; the fund says what its sleeves read; a
+// proxied valuation also regresses on the drivers of its features. A shock
+// to the decrements changes only the books priced along the walk — except
+// under a proxy, whose model seeds hash the block ID a rider's books walk
+// under an alias of.
+func sharesMarket(base SimulationSpec, sh stress.Shock) bool {
+	if !reflect.DeepEqual(sh.Market.Config(base.Market), base.Market) {
 		return false
 	}
 	reads := stochastic.RateDriver | base.Fund.Drivers()
 	if base.Proxy != nil {
+		if !sh.Biometric.IsZero() {
+			return false
+		}
 		reads |= alm.FeatureDrivers
 	}
 	return sh.Market.Drivers()&reads == 0
 }
 
-// sharedWalk is the one valuation a campaign's base and the modules that
-// share it (sharesBase) all compute. The first of those jobs to reach the
-// walk runs it under its own context; a job that arrives while it runs waits
-// on that run — never on a queued job, so no pool size can deadlock on it —
-// and one that arrives after it succeeded takes its results. A run that
+// sharedWalk is the one walk of a market that a campaign's base and the
+// modules riding it (sharesMarket) all need. Each job's book is priced along
+// it under that job's decrement basis; jobs on the same basis (the base and
+// fx, say) share one book. The first of those jobs to reach the walk runs it
+// under its own context, for every basis; a job that arrives while it runs
+// waits on that run — never on a queued job, so no pool size can deadlock on
+// it — and one that arrives after it succeeded takes its books. A run that
 // fails leaves nothing behind: a waiter whose own context is still live then
-// walks itself, so no job inherits another's cancellation, deadline or
-// fault.
+// walks the whole set itself, so no job inherits another's cancellation,
+// deadline or fault.
 type sharedWalk struct {
+	// src and ref are the base's scenario source and ref, which every block
+	// of the walk reads; bases holds every distinct decrement basis priced
+	// along it, the base's first. All three are fixed by campaignSpecs.
+	src   stochastic.Source
+	ref   *stochastic.Ref
+	bases []eeb.Biometric
+
 	mu      sync.Mutex
 	running chan struct{} // closed when the run in flight ends; nil when none is
 	settled bool          // a run succeeded: results and proxy are its
@@ -280,16 +299,81 @@ type sharedWalk struct {
 	proxy   *ProxyReport
 }
 
-// do returns the shared valuation, running walk for it unless another job's
-// run already produced it or is producing it; shared reports that the
-// results are another job's run. On a nil sharedWalk it is walk(). The
-// *alm.Result values are shared between the jobs, and read-only as always;
-// every job gets a map of its own.
-func (w *sharedWalk) do(ctx context.Context, walk func() (map[string]*alm.Result, *ProxyReport, error)) (results map[string]*alm.Result, proxy *ProxyReport, shared bool, err error) {
+// basis returns the index of b among the walk's bases, or -1.
+func (w *sharedWalk) basis(b eeb.Biometric) int {
+	for k, o := range w.bases {
+		if o.MortalityScale() == b.MortalityScale() && o.LapseScale() == b.LapseScale() {
+			return k
+		}
+	}
+	return -1
+}
+
+// walkID is the ID a block of basis k travels under in the walk: its own
+// for the base's basis, aliased with the basis index for the others, so the
+// books of one portfolio under several bases stay apart.
+func walkID(id string, k int) string {
+	if k == 0 {
+		return id
+	}
+	return fmt.Sprintf("%s#%d", id, k)
+}
+
+// blockWalk values a set of blocks, reporting progress to onProgress.
+type blockWalk func(blocks []*eeb.Block, onProgress func(grid.Progress)) (map[string]*alm.Result, *ProxyReport, error)
+
+// value returns the valuation of one job's split blocks, on decrement basis
+// basis: its books of the shared walk, run by walk unless another job's run
+// already produced them or is producing them; shared reports that they are
+// another job's run. The walker hands walk every basis's copy of its split
+// over the base's source and ref, so they all pass eeb.SameWalk, and reports
+// only its own blocks' progress, under their own IDs. On a nil sharedWalk it
+// is walk(blocks, onProgress). The *alm.Result values are shared between the
+// jobs, and read-only as always; every job gets a map of its own.
+func (w *sharedWalk) value(ctx context.Context, blocks []*eeb.Block, basis eeb.Biometric, onProgress func(grid.Progress), walk blockWalk) (map[string]*alm.Result, *ProxyReport, bool, error) {
 	if w == nil {
-		results, proxy, err = walk()
+		results, proxy, err := walk(blocks, onProgress)
 		return results, proxy, false, err
 	}
+	k := w.basis(basis)
+	own := make(map[string]string) // walk ID -> block ID of this job's type-B blocks
+	for _, b := range eeb.TypeB(blocks) {
+		own[walkID(b.ID, k)] = b.ID
+	}
+	all, proxy, shared, err := w.do(ctx, func() (map[string]*alm.Result, *ProxyReport, error) {
+		walked := make([]*eeb.Block, 0, len(w.bases)*len(blocks))
+		for i, bio := range w.bases {
+			for _, b := range blocks {
+				c := *b
+				c.ID, c.Biometric, c.Scenarios, c.ScenarioRef = walkID(b.ID, i), bio, w.src, w.ref
+				walked = append(walked, &c)
+			}
+		}
+		var mine func(grid.Progress)
+		if onProgress != nil {
+			mine = func(ev grid.Progress) {
+				if id, ok := own[ev.BlockID]; ok {
+					ev.BlockID = id
+					onProgress(ev)
+				}
+			}
+		}
+		return walk(walked, mine)
+	})
+	if err != nil {
+		return nil, nil, false, err
+	}
+	results := make(map[string]*alm.Result, len(own))
+	for wid, id := range own {
+		results[id] = all[wid]
+	}
+	return results, proxy, shared, nil
+}
+
+// do returns the walk's results, running walk for them unless another job's
+// run already produced them or is producing them; shared reports that they
+// are another job's run. The map is the walk's and must not be modified.
+func (w *sharedWalk) do(ctx context.Context, walk func() (map[string]*alm.Result, *ProxyReport, error)) (results map[string]*alm.Result, proxy *ProxyReport, shared bool, err error) {
 	w.mu.Lock()
 	for w.running != nil {
 		running := w.running
@@ -303,7 +387,7 @@ func (w *sharedWalk) do(ctx context.Context, walk func() (map[string]*alm.Result
 	}
 	if w.settled {
 		defer w.mu.Unlock()
-		return maps.Clone(w.results), w.proxy, true, nil
+		return w.results, w.proxy, true, nil
 	}
 	done := make(chan struct{})
 	w.running = done
@@ -313,7 +397,7 @@ func (w *sharedWalk) do(ctx context.Context, walk func() (map[string]*alm.Result
 	defer func() {
 		w.mu.Lock()
 		if returned && err == nil {
-			w.settled, w.results, w.proxy = true, maps.Clone(results), proxy
+			w.settled, w.results, w.proxy = true, results, proxy
 		}
 		w.running = nil
 		w.mu.Unlock()

@@ -13,6 +13,7 @@ import (
 	"disarcloud/internal/fund"
 	"disarcloud/internal/grid"
 	"disarcloud/internal/leakcheck"
+	"disarcloud/internal/policy"
 	"disarcloud/internal/stochastic"
 	"disarcloud/internal/stress"
 )
@@ -127,7 +128,7 @@ func walkAlone(t *testing.T, spec SimulationSpec) map[string]*alm.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.shared = nil
+	spec.shared, spec.OnProgress = nil, nil
 	rep, err := d.RunSimulation(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -135,19 +136,24 @@ func walkAlone(t *testing.T, spec SimulationSpec) map[string]*alm.Result {
 	return rep.Results
 }
 
-// TestSharesBaseDecidesFromInputs is the decision table: a module shares
-// the base's walk only when its shock leaves the decrements and the market
-// model alone and moves only drivers neither the fund nor the liabilities
-// (nor, when proxied, the regression features) read.
-func TestSharesBaseDecidesFromInputs(t *testing.T) {
+// TestSharesMarketDecidesFromInputs is the decision table: a module rides
+// the base's walk only when its shock leaves the market model alone and
+// moves only drivers neither the fund nor the liabilities (nor, when
+// proxied, the regression features) read. A decrement shock rides, except
+// on a proxied base, whose model seeds hash the block IDs riders alias.
+func TestSharesMarketDecidesFromInputs(t *testing.T) {
 	plain, foreign, bonds := serviceSpec("p", 10, 1), foreignSpec("f", 10, 1), equityFreeSpec("b", 10, 1)
 	proxied := bonds
 	proxied.Proxy = &ProxySpec{}
 	govtOnly := bonds
 	govtOnly.Fund.Assets = []fund.Asset{{Kind: fund.GovernmentBond, Weight: 1, Maturity: 6}}
+	interest := stress.Shock{Module: stress.InterestUp, Market: stochastic.Transform{RateShift: stress.InterestShift}}
 	equity := stress.Shock{Module: stress.Equity, Market: stochastic.Transform{EquityFactor: stress.EquityShockFactor}}
 	credit := stress.Shock{Module: stress.Spread, Market: stochastic.Transform{CreditFactor: stress.SpreadIntensityFactor}}
+	mortality := stress.Shock{Module: stress.Mortality, Biometric: eeb.Biometric{MortalityFactor: stress.MortalityShockFactor}}
+	lapse := stress.Shock{Module: stress.Lapse, Biometric: eeb.Biometric{LapseFactor: stress.LapseShockFactor}}
 	fx := fxShock(t)
+	fxMortality := stress.Shock{Module: "fx+mortality", Market: fx.Market, Biometric: mortality.Biometric}
 	for _, tc := range []struct {
 		name  string
 		base  SimulationSpec
@@ -160,23 +166,30 @@ func TestSharesBaseDecidesFromInputs(t *testing.T) {
 		{"equity on a bond fund", bonds, equity, true},
 		{"equity on a proxied bond fund", proxied, equity, false},
 		{"fx on a proxied bond fund", proxied, fx, true},
+		{"spread", plain, credit, false},
 		{"credit on a government-bond fund", govtOnly, credit, false},
+		{"interest up", plain, interest, false},
 		{"rate shift", bonds, stress.Shock{Module: stress.InterestUp, Market: stochastic.Transform{RateShift: 1e-30}}, false},
-		{"mortality", plain, stress.Shock{Module: stress.Mortality, Biometric: eeb.Biometric{MortalityFactor: 1.15}}, false},
+		{"mortality", plain, mortality, true},
+		{"lapse", plain, lapse, true},
+		{"longevity", plain, stress.LongevityShock(), true},
+		{"mortality with fx on a domestic fund", plain, fxMortality, true},
+		{"mortality with fx on a foreign sleeve", foreign, fxMortality, false},
+		{"mortality on a proxied base", proxied, mortality, false},
 		{"identity", plain, stress.Shock{Module: "noop"}, true},
 	} {
-		if got := sharesBase(tc.base, tc.shock); got != tc.want {
-			t.Errorf("%s: sharesBase = %v, want %v", tc.name, got, tc.want)
+		if got := sharesMarket(tc.base, tc.shock); got != tc.want {
+			t.Errorf("%s: sharesMarket = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 	var modules []stress.Module
 	for _, sh := range stress.StandardFormula() {
-		if sharesBase(plain, sh) {
+		if sharesMarket(plain, sh) {
 			modules = append(modules, sh.Module)
 		}
 	}
-	if !slices.Equal(modules, []stress.Module{stress.Currency}) {
-		t.Errorf("the default campaign shares the base's walk with %v, want [fx]", modules)
+	if want := []stress.Module{stress.Currency, stress.Mortality, stress.Lapse}; !slices.Equal(modules, want) {
+		t.Errorf("the default campaign rides the base's walk with %v, want %v", modules, want)
 	}
 }
 
@@ -220,8 +233,10 @@ func TestCampaignFXSharesTheBaseWalk(t *testing.T) {
 	for _, n := range runner.walks {
 		total += n
 	}
-	if total != len(shocks) {
-		t.Fatalf("%d walks for a campaign of %d jobs, want %d", total, 1+len(shocks), len(shocks))
+	// One walk per distinct market: interest up, interest down, equity,
+	// spread, and the base's, which fx, mortality and lapse ride.
+	if total != 5 {
+		t.Fatalf("%d walks for a campaign of %d jobs, want 5", total, 1+len(shocks))
 	}
 	if got, want := d.KB().Len(), 1+len(shocks); got != want {
 		t.Fatalf("KB grew by %d samples, want %d (every module is still deployed)", got, want)
@@ -334,20 +349,30 @@ func TestCampaignEquityShockOnEquityFreeFundShares(t *testing.T) {
 	}
 }
 
+// sharedSpecs builds the base's spec and the riders' of a campaign over
+// base whose every shock rides the base's walk, for tests that submit them
+// by hand.
+func sharedSpecs(t *testing.T, base SimulationSpec, shocks ...stress.Shock) (SimulationSpec, []SimulationSpec) {
+	t.Helper()
+	gen, err := stochastic.NewGenerator(base.Market)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseSpec, riders := campaignSpecs(CampaignSpec{Base: base}, shocks, gen, nil)
+	for k, r := range riders {
+		if baseSpec.shared == nil || r.shared != baseSpec.shared {
+			t.Fatalf("%s does not ride the base's walk", shocks[k].Module)
+		}
+	}
+	return baseSpec, riders
+}
+
 // sharedPair builds the base and fx jobs' specs of a one-module campaign,
 // sharing one walk, for tests that submit them by hand.
 func sharedPair(t *testing.T, name string, outer int, seed uint64) (base, fx SimulationSpec) {
 	t.Helper()
-	cs := CampaignSpec{Base: serviceSpec(name, outer, seed)}
-	gen, err := stochastic.NewGenerator(cs.Base.Market)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, specs := campaignSpecs(cs, []stress.Shock{fxShock(t)}, gen, nil)
-	if base.shared == nil || specs[0].shared != base.shared {
-		t.Fatal("base and fx do not share a walk")
-	}
-	return base, specs[0]
+	base, riders := sharedSpecs(t, serviceSpec(name, outer, seed), fxShock(t))
+	return base, riders[0]
 }
 
 // TestCampaignSharedWalkEitherStartOrder: on a one-worker pool, whichever
@@ -451,4 +476,203 @@ func TestCampaignCancelledBaseLeavesFXTerminal(t *testing.T) {
 		svc.Close()
 		noLeak()
 	}
+}
+
+// twoBlockSpec is serviceSpec over a 30-contract book, which splits into two
+// type-B blocks.
+func twoBlockSpec(name string, outer int, seed uint64) SimulationSpec {
+	spec := serviceSpec(name, outer, seed)
+	book := &policy.Portfolio{Name: name}
+	for i := range 15 {
+		for _, c := range spec.Portfolio.Contracts {
+			c.Age += i
+			book.Contracts = append(book.Contracts, c)
+		}
+	}
+	spec.Portfolio = book
+	return spec
+}
+
+// TestCampaignRidersMatchWalkingAlone: a campaign with longevity over a
+// two-block book walks once per distinct market — the base's walk prices
+// three books, one per decrement basis — and every job's per-block results
+// are what walking it alone gives. Every job reports exactly its own paths,
+// under its own block IDs: the walker forwards none of the riders' aliased
+// blocks, so its Done cannot reach Total early.
+func TestCampaignRidersMatchWalkingAlone(t *testing.T) {
+	d, err := NewDeployer(113)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walks := countWalks(d)
+	svc, err := NewService(d, WithWorkers(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	const outer = 20
+	var (
+		mu      sync.Mutex
+		events  int
+		aliased []string
+	)
+	cs := CampaignSpec{
+		Base:   twoBlockSpec("riders", outer, 41),
+		Shocks: append(stress.StandardFormula(), stress.LongevityShock()),
+	}
+	cs.Base.OnProgress = func(ev grid.Progress) {
+		mu.Lock()
+		defer mu.Unlock()
+		events++
+		if ev.BlockID != "riders/B1" && ev.BlockID != "riders/B2" {
+			aliased = append(aliased, ev.BlockID)
+		}
+	}
+	id, err := svc.SubmitCampaign(ctx, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := svc.campaign(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := stochastic.NewGenerator(cs.Base.Market)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, modules := campaignSpecs(cs, cs.Shocks, gen, nil)
+	specs := append([]SimulationSpec{base}, modules...)
+	for i, j := range c.all() {
+		label := "base"
+		if i > 0 {
+			label = string(cs.Shocks[i-1].Module)
+		}
+		rep := assertDone(t, label, j)
+		assertSameBits(t, label+" vs walked alone", rep.Results, walkAlone(t, specs[i]))
+	}
+	if got := walks.Load(); got != 5 {
+		t.Fatalf("%d walks for a campaign over 5 distinct markets", got)
+	}
+	if got := d.KB().Len(); got != len(specs) {
+		t.Fatalf("KB grew by %d samples, want %d", got, len(specs))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := len(specs) * 2 * outer; events != want {
+		t.Fatalf("%d progress events, want %d (two blocks x %d paths per job)", events, want, outer)
+	}
+	if len(aliased) > 0 {
+		t.Fatalf("subscribers saw %d events of blocks %v", len(aliased), slices.Compact(aliased))
+	}
+}
+
+// TestCampaignRiderFirstStartOrder: on a one-worker pool, whichever of base
+// and a mortality rider runs first walks both books and the other takes its
+// own; both are what walking alone gives. A rider that walks reports its
+// own paths under its own block ID, never the alias its book walked under.
+func TestCampaignRiderFirstStartOrder(t *testing.T) {
+	mortality := stress.Shock{Module: stress.Mortality, Biometric: eeb.Biometric{MortalityFactor: stress.MortalityShockFactor}}
+	for _, riderFirst := range []bool{true, false} {
+		d, err := NewDeployer(127)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walks := countWalks(d)
+		svc, err := NewService(d, WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, riders := sharedSpecs(t, serviceSpec("rider", 20, 43), mortality)
+		order := []SimulationSpec{base, riders[0]}
+		if riderFirst {
+			order = []SimulationSpec{riders[0], base}
+		}
+		var jobs []*job
+		events := make([]atomic.Int32, len(order))
+		for k, spec := range order {
+			spec.OnProgress = func(ev grid.Progress) {
+				if ev.BlockID != "rider/B1" {
+					t.Errorf("job %d reported block %s", k, ev.BlockID)
+				}
+				events[k].Add(1)
+			}
+			j, err := svc.submitJob(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, j)
+		}
+		for k, j := range jobs {
+			rep := assertDone(t, "job", j)
+			assertSameBits(t, "job vs walked alone", rep.Results, walkAlone(t, order[k]))
+			if got := events[k].Load(); got != 20 {
+				t.Fatalf("rider first %v: job %d reported %d paths, want 20", riderFirst, k, got)
+			}
+		}
+		svc.Close()
+		if got := walks.Load(); got != 1 {
+			t.Fatalf("rider first %v: %d walks, want 1", riderFirst, got)
+		}
+	}
+}
+
+// TestCampaignCancelledWalkerLeavesRidersWalking: base's walk carries two
+// riders' books; cancelling base fails that walk, and the riders — whose own
+// contexts are live — walk the whole set themselves, once between them.
+// No goroutine outlives the service.
+func TestCampaignCancelledWalkerLeavesRidersWalking(t *testing.T) {
+	noLeak := leakcheck.Goroutines(t)
+	d, err := NewDeployer(131)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Park the first walk — base's — until released.
+	var walks atomic.Int32
+	parked, gate := make(chan struct{}), make(chan struct{})
+	d.hook = func(point string) {
+		if point == "walk" && walks.Add(1) == 1 {
+			close(parked)
+			<-gate
+		}
+	}
+	svc, err := NewService(d, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, riders := sharedSpecs(t, serviceSpec("walker", 30, 47),
+		stress.Shock{Module: stress.Mortality, Biometric: eeb.Biometric{MortalityFactor: stress.MortalityShockFactor}},
+		stress.Shock{Module: stress.Lapse, Biometric: eeb.Biometric{LapseFactor: stress.LapseShockFactor}})
+	ctx := context.Background()
+	baseJob, err := svc.submitJob(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	var riderJobs []*job
+	for _, spec := range riders {
+		j, err := svc.submitJob(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		riderJobs = append(riderJobs, j)
+	}
+	// The first rider has deployed (its sample is in): it is at, or on its
+	// way to, the walk base holds. The second waits for a worker.
+	pollUntil(t, "the first rider to deploy", func() bool { return d.KB().Len() == 2 })
+	baseJob.cancel()
+	close(gate)
+
+	if _, err := awaitJob(ctx, baseJob); err == nil || baseJob.snapshot().Status != JobCanceled {
+		t.Fatalf("cancelled base: %v, %s", err, baseJob.snapshot().Status)
+	}
+	for k, j := range riderJobs {
+		rep := assertDone(t, "rider after its walker was cancelled", j)
+		assertSameBits(t, "rider vs walked alone", rep.Results, walkAlone(t, riders[k]))
+	}
+	if got := walks.Load(); got != 2 {
+		t.Fatalf("%d walks, want 2 (the cancelled one and the riders' own)", got)
+	}
+	svc.Close()
+	noLeak()
 }

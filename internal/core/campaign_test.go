@@ -276,6 +276,13 @@ func TestCampaignQueueFullRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	walking := make(chan struct{})
+	var once sync.Once
+	d.hook = func(point string) {
+		if point == "walk" {
+			once.Do(func() { close(walking) })
+		}
+	}
 	svc, err := NewService(d, WithWorkers(1), WithQueueDepth(2))
 	if err != nil {
 		t.Fatal(err)
@@ -288,19 +295,11 @@ func TestCampaignQueueFullRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		snap, err := svc.Status(blocker)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap.Status == JobRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("blocker never started")
-		}
-		time.Sleep(time.Millisecond)
+	// Walking, the blocker holds the only worker and has left the queue.
+	select {
+	case <-walking:
+	case <-time.After(30 * time.Second):
+		t.Fatal("blocker never started")
 	}
 
 	// Queue depth 2: the campaign's base + first module fit, the second
@@ -314,28 +313,20 @@ func TestCampaignQueueFullRollsBack(t *testing.T) {
 	}
 	cancelBlocker()
 	// The rolled-back campaign jobs must settle cancelled, not run to done.
-	deadline = time.Now().Add(30 * time.Second)
-	for {
-		allTerminal := true
-		doneCampaignJobs := 0
-		for _, snap := range svc.Jobs() {
-			if !snap.Status.Terminal() {
-				allTerminal = false
-			}
-			if snap.ID != blocker && snap.Status == JobDone {
-				doneCampaignJobs++
-			}
+	settled := time.After(30 * time.Second)
+	for _, snap := range svc.Jobs() {
+		j, err := svc.job(snap.ID)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if allTerminal {
-			if doneCampaignJobs != 0 {
-				t.Fatalf("%d rolled-back campaign jobs ran to completion", doneCampaignJobs)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
+		select {
+		case <-j.doneCh:
+		case <-settled:
 			t.Fatal("jobs never settled after rollback")
 		}
-		time.Sleep(time.Millisecond)
+		if snap := j.snapshot(); snap.ID != blocker && snap.Status == JobDone {
+			t.Fatalf("rolled-back campaign job %s ran to completion", snap.ID)
+		}
 	}
 }
 

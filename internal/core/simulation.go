@@ -72,9 +72,10 @@ type SimulationSpec struct {
 	// every module's spec; standalone jobs with Constraints.MaxCost > 0 get
 	// a private one inside RunSimulation.
 	budget *costAccountant
-	// shared, when non-nil, is the valuation this job computes bit for bit
+	// shared, when non-nil, is the walk this job's market takes bit for bit
 	// with others: SubmitCampaign hands the base and every module whose
-	// shock nothing reads one sharedWalk, and the walk runs once for them.
+	// shock the walk does not read one sharedWalk, and the walk runs once
+	// for them, pricing each one's book under its Biometric.
 	shared *sharedWalk
 }
 
@@ -275,26 +276,26 @@ func (d *Deployer) RunSimulation(ctx context.Context, spec SimulationSpec) (*Sim
 		_ = d.forget(deployRep) // a split that fails produced no valuation
 		return nil, err
 	}
-	// The walk is the only step a job sharing its valuation may skip: the
-	// deploy above, and with it the KB sample and the bill, stay its own.
-	// (Under a runner the pacing is part of the walk, and shared with it.)
-	results, proxyRep, shared, err := spec.shared.do(ctx, func() (map[string]*alm.Result, *ProxyReport, error) {
+	// The walk is the only step a job sharing its market may skip: the deploy
+	// above, and with it the KB sample and the bill, stay its own. (Under a
+	// runner the pacing is part of the walk, and shared with it.)
+	results, proxyRep, shared, err := spec.shared.value(ctx, blocks, spec.Biometric, spec.OnProgress, func(walked []*eeb.Block, onProgress func(grid.Progress)) (map[string]*alm.Result, *ProxyReport, error) {
 		d.at("walk")
 		switch {
 		case spec.Proxy != nil:
-			return runProxyValuation(ctx, blocks, workers, spec.Seed, *spec.Proxy, spec.OnProgress)
+			return runProxyValuation(ctx, walked, workers, spec.Seed, *spec.Proxy, onProgress)
 		case useRunner:
 			results, err := d.runner.RunBlocks(ctx, BlockRunRequest{
-				Blocks:      blocks,
+				Blocks:      walked,
 				Seed:        spec.Seed,
 				Workers:     workers,
 				PaceSeconds: paceSeconds,
-				OnProgress:  spec.OnProgress,
+				OnProgress:  onProgress,
 			})
 			return results, nil, err
 		default:
-			master := &grid.Master{Workers: workers, Seed: spec.Seed, OnProgress: spec.OnProgress}
-			results, err := master.Run(ctx, blocks)
+			master := &grid.Master{Workers: workers, Seed: spec.Seed, OnProgress: onProgress}
+			results, err := master.Run(ctx, walked)
 			return results, nil, err
 		}
 	})
