@@ -286,53 +286,6 @@ func FuzzVerifyRequestDecode(f *testing.F) {
 	})
 }
 
-// FuzzPolicyRequestDecode drives arbitrary bodies through the daemon's
-// "policy" config section decode path. The decoder is strict, so the
-// invariant is: either a clean rejection, or a request whose fields are
-// mutually consistent — a recognized policy name, a qtable if and only if
-// the policy is learned, and a headroom only on hybrid and never negative.
-func FuzzPolicyRequestDecode(f *testing.F) {
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"policy":"reactive"}`))
-	f.Add([]byte(`{"policy":"hybrid"}`))
-	f.Add([]byte(`{"policy":"hybrid","headroom":1.4}`))
-	f.Add([]byte(`{"policy":"learned","qtable":"testdata/qtable_v1.json"}`))
-	f.Add([]byte(`{"policy":"learned"}`))
-	f.Add([]byte(`{"policy":"psychic"}`))
-	f.Add([]byte(`{"policy":"reactive","qtable":"q.json"}`))
-	f.Add([]byte(`{"qtable":"q.json"}`))
-	f.Add([]byte(`{"policy":"learned","qtable":"q.json","headroom":1.2}`))
-	f.Add([]byte(`{"policy":"hybrid","headroom":-1}`))
-	f.Add([]byte(`{"policy":"hybrid","headroom":1e308}`))
-	f.Add([]byte(`{"policy":"hybrid","headroom":null}`))
-	f.Add([]byte(`{"policy":null,"qtable":null}`))
-	f.Add([]byte(`{"unknown_field":1}`))
-	f.Add([]byte(`{"policy":"reactive"} trailing`))
-	f.Add([]byte(`{"policy":`))
-	f.Add([]byte(`[1,2,3]`))
-	f.Add([]byte("\x00\xff garbage"))
-	f.Fuzz(func(t *testing.T, body []byte) {
-		req, err := decodePolicyRequest(body)
-		if err != nil {
-			return // clean rejection
-		}
-		switch req.Policy {
-		case "", "reactive", "hybrid", "learned":
-		default:
-			t.Fatalf("decodePolicyRequest accepted unknown policy %q from %q", req.Policy, body)
-		}
-		if (req.QTable != "") != (req.Policy == "learned") {
-			t.Fatalf("decodePolicyRequest accepted inconsistent qtable wiring: %+v from %q", req, body)
-		}
-		if req.Headroom != 0 && req.Policy != "hybrid" {
-			t.Fatalf("decodePolicyRequest accepted headroom on %q: %q", req.Policy, body)
-		}
-		if req.Headroom < 0 {
-			t.Fatalf("decodePolicyRequest accepted negative headroom: %q", body)
-		}
-	})
-}
-
 // FuzzJoinRequestDecode drives arbitrary bodies through the cluster join
 // endpoint — worker registration is the one place untrusted input reaches
 // the coordinator's membership state. The invariant: never a panic, never a

@@ -31,32 +31,33 @@
 //
 // With -cluster the daemon is a cluster coordinator: valuations are
 // scattered as outer-path slices across worker processes started with
-// `disard -join <coordinator-url>` (or self-spawned via -spawn-workers; with
-// -elastic the controller's worker target also scales the process fleet). A
+// `disard -join <coordinator-url>` (or self-spawned via -spawn-workers; under
+// a -policy the controller's worker target also scales the process fleet). A
 // worker lost mid-run has its range re-sliced onto the survivors with
 // bit-identical results. With -peers plus -self, submissions are routed to
 // their consistent-hash owner among the peer coordinators and knowledge
 // bases gossip every -gossip-every.
 //
-// With -elastic the worker pool autoscales between -min-workers and
-// -max-workers from queue/backlog pressure; with -admission, submissions
-// whose predicted completion time busts their own tmax_seconds are rejected
-// with 503 and a Retry-After estimate of the backlog drain time. With
-// -forecast (requires -elastic) the control loop additionally records
-// per-interval demand telemetry, keeps the lowest-sMAPE forecast model
-// fitted on it, and feed-forwards the predicted arrival rate times the
-// KB-estimated job runtime into the worker target — the hybrid policy
-// applies the maximum of the reactive and proactive targets.
+// -policy is the one selector of the scaling decision layer. Empty (the
+// default) keeps a fixed pool of -workers; any other value makes the pool
+// elastic between -min-workers and -max-workers:
 //
-// With -policy the daemon names its scaling decision layer explicitly:
-// "reactive" (the elastic controller alone), "hybrid" (equivalent to
-// -forecast), or "learned" — a Q-table trained offline by cmd/qtrain
-// (internal/rl) and loaded from -qtable. A learned daemon takes its
-// unflagged -min-workers/-max-workers from the table's own spec. The same
-// selection can live in a JSON "policy" config section loaded with
-// -policy-config ({"policy": "learned", "qtable": "qtable_v1.json"});
-// explicit flags override the file's fields. GET /v1/autoscaler reports
-// the active policy and its hyperparameters either way.
+//   - "reactive": the threshold controller alone, from queue/backlog pressure.
+//   - "hybrid": the control loop also records per-interval demand telemetry,
+//     keeps the lowest-sMAPE forecast model fitted on it, and feed-forwards
+//     the predicted arrival rate times the KB-estimated job runtime into the
+//     worker target (tuned by -forecast-window, -forecast-season and
+//     -forecast-headroom); each tick applies the maximum of the reactive and
+//     proactive targets.
+//   - "learned": a Q-table trained offline by cmd/qtrain (internal/rl) and
+//     loaded from -qtable, which no other policy accepts. A learned daemon
+//     takes the -min-workers/-max-workers not given on the command line from
+//     the table's own spec.
+//
+// GET /v1/autoscaler reports the active policy and its hyperparameters. With
+// -admission, submissions whose predicted completion time busts their own
+// tmax_seconds are rejected with 503 and a Retry-After estimate of the
+// backlog drain time.
 //
 // With -check <file> the daemon does not serve at all: it model-checks the
 // scaling policy described by the JSON request file against its SLA bound
@@ -155,24 +156,78 @@ func flagWasSet(name string) bool {
 	return set
 }
 
+// poolFlags are the command-line settings of the worker pool and of the
+// scaling policy that drives it.
+type poolFlags struct {
+	workers, queue         int
+	minWorkers, maxWorkers int
+	minSet, maxSet         bool // -min-workers / -max-workers given explicitly
+	admission              bool
+	policy, qtable         string
+	forecast               disarcloud.ForecastConfig // the hybrid policy's planner
+}
+
+// serviceOptions maps the pool flags onto service options: -policy ""
+// keeps a fixed pool, and reactive, hybrid and learned make it elastic under
+// that decision layer (see the package doc). d prices jobs for -admission;
+// scale, when non-nil, follows an elastic pool's target.
+func (p poolFlags) serviceOptions(d *disarcloud.Deployer, scale func(int)) ([]disarcloud.ServiceOption, error) {
+	opts := []disarcloud.ServiceOption{disarcloud.WithWorkers(p.workers), disarcloud.WithQueueDepth(p.queue)}
+	if p.admission {
+		opts = append(opts, disarcloud.WithAdmissionControl(disarcloud.PredictorEstimator(d)))
+	}
+	if p.qtable != "" && p.policy != "learned" {
+		return nil, fmt.Errorf("-qtable only drives -policy learned (got -policy %q)", p.policy)
+	}
+	bounds := disarcloud.ElasticConfig{MinWorkers: p.minWorkers, MaxWorkers: p.maxWorkers}
+	switch p.policy {
+	case "":
+		return opts, nil
+	case "reactive":
+	case "hybrid":
+		opts = append(opts, disarcloud.WithForecast(p.forecast))
+	case "learned":
+		if p.qtable == "" {
+			return nil, fmt.Errorf("-policy learned needs a -qtable")
+		}
+		t, err := disarcloud.LoadQTable(p.qtable)
+		if err != nil {
+			return nil, fmt.Errorf("load qtable: %w", err)
+		}
+		// The artifact knows the pool it was trained for; unflagged bounds
+		// follow it so the policy is never boxed into bounds it never saw.
+		if !p.minSet {
+			bounds.MinWorkers = t.Spec.MinWorkers
+		}
+		if !p.maxSet {
+			bounds.MaxWorkers = t.Spec.MaxWorkers
+		}
+		opts = append(opts, disarcloud.WithLearnedPolicy(t))
+	default:
+		return nil, fmt.Errorf("unknown -policy %q (want reactive, hybrid or learned)", p.policy)
+	}
+	opts = append(opts, disarcloud.WithElastic(bounds))
+	if scale != nil {
+		opts = append(opts, disarcloud.WithProcessScaler(scale))
+	}
+	return opts, nil
+}
+
 func run() error {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		seed      = flag.Uint64("seed", 2016, "root seed of the shared deployer")
-		workers   = flag.Int("workers", 4, "concurrent valuations (initial pool when -elastic)")
+		workers   = flag.Int("workers", 4, "concurrent valuations (the initial pool under a -policy)")
 		queue     = flag.Int("queue", 64, "submit queue depth")
 		kbPath    = flag.String("kb", "", "knowledge-base JSON to load at boot and save at shutdown")
-		elastic   = flag.Bool("elastic", false, "autoscale the worker pool between -min-workers and -max-workers")
 		minW      = flag.Int("min-workers", 0, "elastic pool floor (0 = initial -workers)")
 		maxW      = flag.Int("max-workers", 16, "elastic pool ceiling")
 		admission = flag.Bool("admission", false, "reject jobs whose predicted completion busts their tmax (503 + Retry-After)")
-		fcast     = flag.Bool("forecast", false, "proactive provisioning: feed-forward the forecast demand into the worker target (requires -elastic)")
-		fcWindow  = flag.Int("forecast-window", 0, "telemetry ring capacity in control ticks (0 = default)")
-		fcHead    = flag.Float64("forecast-headroom", 0, "planner headroom factor >= 1 (0 = default)")
-		fcSeason  = flag.Int("forecast-season", 0, "seasonality hint in control ticks for the Holt-Winters candidate (0 = no seasonal model)")
-		policySel = flag.String("policy", "", "scaling policy: reactive, hybrid (implies -forecast) or learned (requires -qtable); all require -elastic")
+		fcWindow  = flag.Int("forecast-window", 0, "hybrid planner: telemetry ring capacity in control ticks (0 = default)")
+		fcHead    = flag.Float64("forecast-headroom", 0, "hybrid planner: headroom factor >= 1 (0 = default)")
+		fcSeason  = flag.Int("forecast-season", 0, "hybrid planner: seasonality hint in control ticks for the Holt-Winters candidate (0 = no seasonal model)")
+		policy    = flag.String("policy", "", "scaling policy: reactive, hybrid or learned (with -qtable); empty keeps a fixed pool of -workers")
 		qtable    = flag.String("qtable", "", "trained Q-table artifact for -policy learned")
-		policyCfg = flag.String("policy-config", "", "JSON file with the \"policy\" config section (-policy/-qtable override its fields)")
 		proxy     = flag.Bool("proxy", false, "route jobs without their own proxy section through the LSMC proxy serving tier")
 		proxyBud  = flag.Float64("proxy-budget", 0, "default proxy relative error budget in (0,1] (0 = proxyval default)")
 		proxySamp = flag.Int("proxy-sample", 0, "default proxy training-sample size (0 = proxyval default)")
@@ -195,63 +250,12 @@ func run() error {
 	if *check != "" {
 		return runCheck(*check, os.Stdout)
 	}
-	pol := policyRequest{}
-	if *policyCfg != "" {
-		loaded, err := loadPolicyConfig(*policyCfg)
-		if err != nil {
-			return err
-		}
-		pol = loaded
-	}
-	if *policySel != "" {
-		pol.Policy = *policySel
-	}
-	if *qtable != "" {
-		pol.QTable = *qtable
-	}
-	if err := pol.validate(); err != nil {
-		return err
-	}
-	var learnedTable *disarcloud.QTable
-	switch pol.Policy {
-	case "reactive":
-		if !*elastic {
-			return fmt.Errorf("-policy reactive requires -elastic")
-		}
-		if *fcast {
-			return fmt.Errorf("-policy reactive conflicts with -forecast (forecast overlay IS the hybrid policy)")
-		}
-	case "hybrid":
-		if !*elastic {
-			return fmt.Errorf("-policy hybrid requires -elastic")
-		}
-		*fcast = true
-		if pol.Headroom != 0 && !flagWasSet("forecast-headroom") {
-			*fcHead = pol.Headroom
-		}
-	case "learned":
-		if !*elastic {
-			return fmt.Errorf("-policy learned requires -elastic")
-		}
-		if *fcast {
-			return fmt.Errorf("-policy learned conflicts with -forecast (one decision layer at a time)")
-		}
-		t, err := loadQTable(pol.QTable)
-		if err != nil {
-			return err
-		}
-		learnedTable = t
-		// The artifact knows the pool it was trained for; unflagged bounds
-		// follow it so the policy is never boxed into bounds it never saw.
-		if !flagWasSet("min-workers") {
-			*minW = t.Spec.MinWorkers
-		}
-		if !flagWasSet("max-workers") {
-			*maxW = t.Spec.MaxWorkers
-		}
-	}
-	if *fcast && !*elastic {
-		return fmt.Errorf("-forecast requires -elastic: the hybrid policy overlays the reactive controller")
+	pool := poolFlags{
+		workers: *workers, queue: *queue,
+		minWorkers: *minW, maxWorkers: *maxW,
+		minSet: flagWasSet("min-workers"), maxSet: flagWasSet("max-workers"),
+		admission: *admission, policy: *policy, qtable: *qtable,
+		forecast: disarcloud.ForecastConfig{Window: *fcWindow, Headroom: *fcHead, SeasonPeriod: *fcSeason},
 	}
 	if *maxCost < 0 || math.IsNaN(*maxCost) {
 		return fmt.Errorf("-max-cost %v is not a non-negative dollar amount", *maxCost)
@@ -320,31 +324,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	svcOpts := []disarcloud.ServiceOption{
-		disarcloud.WithWorkers(*workers), disarcloud.WithQueueDepth(*queue),
-	}
-	if coord != nil && *elastic {
+	var scale func(int)
+	if coord != nil {
 		// The elastic controller's worker target also scales the cluster's
 		// launcher-managed worker processes.
-		svcOpts = append(svcOpts, disarcloud.WithProcessScaler(coord.ProcessScaler()))
+		scale = coord.ProcessScaler()
 	}
-	if *elastic {
-		svcOpts = append(svcOpts, disarcloud.WithElastic(disarcloud.ElasticConfig{
-			MinWorkers: *minW, MaxWorkers: *maxW,
-		}))
-	}
-	if *admission {
-		svcOpts = append(svcOpts, disarcloud.WithAdmissionControl(disarcloud.PredictorEstimator(d)))
-	}
-	if *fcast {
-		svcOpts = append(svcOpts, disarcloud.WithForecast(disarcloud.ForecastConfig{
-			Window:       *fcWindow,
-			Headroom:     *fcHead,
-			SeasonPeriod: *fcSeason,
-		}))
-	}
-	if learnedTable != nil {
-		svcOpts = append(svcOpts, disarcloud.WithLearnedPolicy(learnedTable))
+	svcOpts, err := pool.serviceOptions(d, scale)
+	if err != nil {
+		return err
 	}
 	svc, err := disarcloud.NewService(d, svcOpts...)
 	if err != nil {

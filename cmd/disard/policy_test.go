@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,80 +18,112 @@ import (
 // this package.
 const shippedQTablePath = "../../testdata/qtable_v1.json"
 
-// TestDecodePolicyRequest: the policy section decodes strictly and enforces
-// its internal consistency rules.
-func TestDecodePolicyRequest(t *testing.T) {
-	good := []string{
-		`{}`,
-		`{"policy":"reactive"}`,
-		`{"policy":"hybrid"}`,
-		`{"policy":"hybrid","headroom":1.4}`,
-		`{"policy":"learned","qtable":"q.json"}`,
-	}
-	for _, body := range good {
-		if _, err := decodePolicyRequest([]byte(body)); err != nil {
-			t.Errorf("%s rejected: %v", body, err)
-		}
-	}
-	bad := []struct {
-		name string
-		body string
-	}{
-		{"unknown policy", `{"policy":"psychic"}`},
-		{"qtable on reactive", `{"policy":"reactive","qtable":"q.json"}`},
-		{"qtable without policy", `{"qtable":"q.json"}`},
-		{"learned without qtable", `{"policy":"learned"}`},
-		{"headroom on learned", `{"policy":"learned","qtable":"q.json","headroom":1.2}`},
-		{"headroom on reactive", `{"policy":"reactive","headroom":1.2}`},
-		{"negative headroom", `{"policy":"hybrid","headroom":-1}`},
-		{"unknown field", `{"policy":"reactive","qtbale":"q.json"}`},
-		{"trailing data", `{"policy":"reactive"}{"policy":"hybrid"}`},
-		{"not an object", `[1,2,3]`},
-		{"truncated", `{"policy":`},
-	}
-	for _, tc := range bad {
-		if _, err := decodePolicyRequest([]byte(tc.body)); err == nil {
-			t.Errorf("%s: decodePolicyRequest accepted %s", tc.name, tc.body)
-		}
-	}
-}
-
-// TestLoadPolicyConfig: a relative qtable path in a config file resolves
-// against the file's own directory; an absolute path is untouched.
-func TestLoadPolicyConfig(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "policy.json")
-	if err := os.WriteFile(path, []byte(`{"policy":"learned","qtable":"tables/q.json"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	req, err := loadPolicyConfig(path)
+// TestPolicyFlagMapping pins -policy's mapping onto service options. Each
+// value must yield the same decision layer — policy name, hyperparameters,
+// elastic bounds, forecast planner on or off — as the service options the
+// daemon assembled for it before -policy became the only selector (-elastic,
+// -forecast and -policy learned each adding their option by hand).
+func TestPolicyFlagMapping(t *testing.T) {
+	tbl, err := disarcloud.LoadQTable(shippedQTablePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := filepath.Join(dir, "tables", "q.json"); req.QTable != want {
-		t.Fatalf("relative qtable resolved to %q, want %q", req.QTable, want)
+	fc := disarcloud.ForecastConfig{Window: 64, Headroom: 1.5, SeasonPeriod: 8}
+	flags := func(policy, qtable string) poolFlags {
+		return poolFlags{workers: 4, queue: 8, maxWorkers: 6, policy: policy, qtable: qtable, forecast: fc}
+	}
+	pinnedFloor := flags("learned", shippedQTablePath)
+	pinnedFloor.minWorkers, pinnedFloor.minSet = 1, true
+	cases := []struct {
+		name     string
+		flags    poolFlags
+		parent   []disarcloud.ServiceOption // beyond workers and queue depth
+		policy   string
+		forecast bool
+	}{
+		{"fixed pool", flags("", ""), nil, "", false},
+		{"reactive", flags("reactive", ""), []disarcloud.ServiceOption{
+			disarcloud.WithElastic(disarcloud.ElasticConfig{MaxWorkers: 6}),
+		}, "reactive", false},
+		{"hybrid", flags("hybrid", ""), []disarcloud.ServiceOption{
+			disarcloud.WithElastic(disarcloud.ElasticConfig{MaxWorkers: 6}),
+			disarcloud.WithForecast(fc),
+		}, "hybrid", true},
+		{"learned takes unflagged bounds from its table", flags("learned", shippedQTablePath), []disarcloud.ServiceOption{
+			disarcloud.WithElastic(disarcloud.ElasticConfig{MinWorkers: tbl.Spec.MinWorkers, MaxWorkers: tbl.Spec.MaxWorkers}),
+			disarcloud.WithLearnedPolicy(tbl),
+		}, "learned", false},
+		{"learned keeps a flagged floor", pinnedFloor, []disarcloud.ServiceOption{
+			disarcloud.WithElastic(disarcloud.ElasticConfig{MinWorkers: 1, MaxWorkers: tbl.Spec.MaxWorkers}),
+			disarcloud.WithLearnedPolicy(tbl),
+		}, "learned", false},
+	}
+	d, err := disarcloud.NewDeployer(2016)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type status struct {
+		Enabled      bool
+		Policy       string
+		PolicyParams map[string]float64
+		Config       disarcloud.ElasticConfig
+		Forecast     bool
+	}
+	start := func(t *testing.T, opts []disarcloud.ServiceOption) status {
+		t.Helper()
+		svc, err := disarcloud.NewService(d, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		st := svc.AutoscalerStatus()
+		return status{st.Enabled, st.Policy, st.PolicyParams, st.Config, svc.ForecastStatus().Enabled}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts, err := tc.flags.serviceOptions(d, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := start(t, opts)
+			want := start(t, append([]disarcloud.ServiceOption{
+				disarcloud.WithWorkers(4), disarcloud.WithQueueDepth(8),
+			}, tc.parent...))
+			if got.Policy != tc.policy || got.Enabled != (tc.policy != "") || got.Forecast != tc.forecast {
+				t.Fatalf("mapped status %+v, want policy %q with forecast %v", got, tc.policy, tc.forecast)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("mapped status %+v\nparent status %+v", got, want)
+			}
+		})
 	}
 
-	abs := filepath.Join(dir, "elsewhere.json")
-	body := `{"policy":"learned","qtable":` + string(mustJSON(t, abs)) + `}`
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
+	bad := []struct {
+		name, policy, qtable, errPart string
+	}{
+		{"unknown policy", "psychic", "", "unknown -policy"},
+		{"qtable without learned", "reactive", shippedQTablePath, "-qtable only drives"},
+		{"qtable on a fixed pool", "", shippedQTablePath, "-qtable only drives"},
+		{"learned without qtable", "learned", "", "needs a -qtable"},
+		{"missing qtable", "learned", filepath.Join(t.TempDir(), "missing.json"), "load qtable"},
 	}
-	if req, err = loadPolicyConfig(path); err != nil {
-		t.Fatal(err)
-	}
-	if req.QTable != abs {
-		t.Fatalf("absolute qtable rewritten to %q", req.QTable)
+	for _, tc := range bad {
+		if _, err := flags(tc.policy, tc.qtable).serviceOptions(d, nil); err == nil || !strings.Contains(err.Error(), tc.errPart) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.errPart)
+		}
 	}
 
-	if _, err := loadPolicyConfig(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("loadPolicyConfig accepted a missing file")
-	}
-	if err := os.WriteFile(path, []byte(`{"policy":"weird"}`), 0o644); err != nil {
+	// flag.Float64 parses "NaN": -forecast-headroom NaN must stop the daemon
+	// at boot, not reach the planner and the JSON status encoders.
+	nan := flags("hybrid", "")
+	nan.forecast.Headroom = math.NaN()
+	opts, err := nan.serviceOptions(d, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadPolicyConfig(path); err == nil || !strings.Contains(err.Error(), path) {
-		t.Fatalf("invalid config error %v does not name the file", err)
+	if svc, err := disarcloud.NewService(d, opts...); err == nil {
+		svc.Close()
+		t.Error("a NaN planner headroom started a service")
 	}
 }
 
@@ -102,18 +136,15 @@ func mustJSON(t *testing.T, v any) []byte {
 	return data
 }
 
-// TestLoadQTableShippedArtifact: the committed artifact loads through the
-// daemon's path and carries the version this build reads.
+// TestLoadQTableShippedArtifact: the committed artifact loads and carries
+// the version this build reads.
 func TestLoadQTableShippedArtifact(t *testing.T) {
-	tbl, err := loadQTable(shippedQTablePath)
+	tbl, err := disarcloud.LoadQTable(shippedQTablePath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Version != disarcloud.QTableVersion {
 		t.Fatalf("artifact version %d, build reads %d", tbl.Version, disarcloud.QTableVersion)
-	}
-	if _, err := loadQTable(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("loadQTable accepted a missing file")
 	}
 }
 
@@ -161,7 +192,7 @@ func TestLearnedGateFilesDecode(t *testing.T) {
 // TestLearnedPolicyStatusEndpoint: a daemon running the shipped Q-table
 // reports the learned policy and its hyperparameters on /v1/autoscaler.
 func TestLearnedPolicyStatusEndpoint(t *testing.T) {
-	tbl, err := loadQTable(shippedQTablePath)
+	tbl, err := disarcloud.LoadQTable(shippedQTablePath)
 	if err != nil {
 		t.Fatal(err)
 	}

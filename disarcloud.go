@@ -527,10 +527,6 @@ var (
 	WithKnowledgeBase = core.WithKnowledgeBase
 	// WithCatalog restricts the instance types considered.
 	WithCatalog = core.WithCatalog
-	// WithPerfModel overrides the simulated-cloud performance model.
-	WithPerfModel = core.WithPerfModel
-	// WithHeterogeneous enables mixed-type deploys (the paper's future work).
-	WithHeterogeneous = core.WithHeterogeneous
 	// WithRetrainEvery relaxes the retraining cadence for long campaigns.
 	WithRetrainEvery = core.WithRetrainEvery
 )

@@ -41,6 +41,28 @@ func TestMortalityStressClampsAtOne(t *testing.T) {
 	}
 }
 
+// TestMortalityStressIsScaledMortality: a campaign stamps its life shocks as
+// eeb.Biometric factors, which the valuer applies as ScaledMortality over
+// the standard tables. That must be the regulatory stress itself, bit for
+// bit at every age of both tables.
+func TestMortalityStressIsScaledMortality(t *testing.T) {
+	for _, g := range []Gender{Male, Female} {
+		base := ForGender(g)
+		stresses := []struct {
+			stressed MortalityModel
+			factor   float64
+		}{{MortalityStress(base), 1.15}, {LongevityStress(base), 0.80}}
+		for _, s := range stresses {
+			scaled := ScaledMortality{Base: base, Factor: s.factor}
+			for age := 0; age <= 120; age++ {
+				if got, want := scaled.AnnualDeathProb(age), s.stressed.AnnualDeathProb(age); got != want {
+					t.Fatalf("%s age %d, factor %v: scaled %v, stress %v", g, age, s.factor, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestScaledMortalityValidate(t *testing.T) {
 	if err := (ScaledMortality{Base: nil, Factor: 1}).Validate(); err == nil {
 		t.Fatal("nil base accepted")

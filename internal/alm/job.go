@@ -49,10 +49,6 @@ type JobValuer struct {
 // partitioned. Scenario source, biometric bases and the panel pool are taken
 // from the blocks as NewValuer takes them (the pool from the first block).
 func NewJobValuer(blocks []*eeb.Block, seed uint64) (*JobValuer, error) {
-	return newJobValuer(blocks, seed, Assumptions{})
-}
-
-func newJobValuer(blocks []*eeb.Block, seed uint64, assume Assumptions) (*JobValuer, error) {
 	if len(blocks) == 0 {
 		return nil, errors.New("alm: no blocks to value")
 	}
@@ -90,7 +86,7 @@ func newJobValuer(blocks []*eeb.Block, seed uint64, assume Assumptions) (*JobVal
 	j.books = make([]policy.Book, len(blocks))
 	for bi, b := range blocks {
 		j.maxTerm = max(j.maxTerm, b.Portfolio.MaxTerm())
-		if j.books[bi], err = compileBook(b, assume); err != nil {
+		if j.books[bi], err = compileBook(b); err != nil {
 			return nil, err
 		}
 	}
@@ -98,16 +94,16 @@ func newJobValuer(blocks []*eeb.Block, seed uint64, assume Assumptions) (*JobVal
 }
 
 // compileBook computes the type-A decrement table of every representative
-// contract of the block, on the resolved assumptions scaled by the block's
-// biometric basis, and compiles the contracts against them.
-func compileBook(b *eeb.Block, assume Assumptions) (policy.Book, error) {
-	lapse := assume.lapse()
+// contract of the block, on the standard tables and DefaultLapse scaled by
+// the block's biometric basis, and compiles the contracts against them.
+func compileBook(b *eeb.Block) (policy.Book, error) {
+	var lapse actuarial.LapseModel = DefaultLapse()
 	if f := b.Biometric.LapseScale(); f != 1 {
 		lapse = actuarial.LapseStress{Base: lapse, Factor: f}
 	}
 	book := make(policy.Book, len(b.Portfolio.Contracts))
 	for i, c := range b.Portfolio.Contracts {
-		mort := assume.mortality(c.Gender)
+		var mort actuarial.MortalityModel = actuarial.ForGender(c.Gender)
 		if f := b.Biometric.MortalityScale(); f != 1 {
 			mort = actuarial.ScaledMortality{Base: mort, Factor: f}
 		}

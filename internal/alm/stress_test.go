@@ -8,6 +8,7 @@ import (
 	"disarcloud/internal/fund"
 	"disarcloud/internal/policy"
 	"disarcloud/internal/stochastic"
+	"disarcloud/internal/stress"
 )
 
 // annuityBlock builds an annuity-heavy block, where the longevity stress
@@ -54,123 +55,104 @@ func protectionBlock(t *testing.T) *eeb.Block {
 	return b
 }
 
-func TestNewValuerWithAssumptionsDefaultsMatchNewValuer(t *testing.T) {
-	b := annuityBlock(t)
-	v1, err := NewValuer(b, 7)
-	if err != nil {
-		t.Fatal(err)
+// lifeDeltas holds the best-estimate BEL of a block and, for each
+// standard-formula life shock, the stressed BEL minus it.
+type lifeDeltas struct {
+	Base, Longevity, Mortality, LapseUp, LapseDown float64
+}
+
+// valueLifeShocks values the block under each life shock the way a campaign
+// does: the shock's eeb.Biometric basis stamped on a copy of the block, all
+// on the seed's scenarios (common random numbers), so every delta is a pure
+// assumption effect.
+func valueLifeShocks(t *testing.T, b *eeb.Block, seed uint64) lifeDeltas {
+	t.Helper()
+	bel := func(basis eeb.Biometric) float64 {
+		stamped := *b
+		stamped.Biometric = basis
+		v, err := NewValuer(&stamped, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := v.ValueNested()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.BEL
 	}
-	v2, err := NewValuerWithAssumptions(b, 7, Assumptions{})
-	if err != nil {
-		t.Fatal(err)
+	base := bel(eeb.Biometric{})
+	return lifeDeltas{
+		Base:      base,
+		Longevity: bel(eeb.Biometric{MortalityFactor: stress.LongevityShockFactor}) - base,
+		Mortality: bel(eeb.Biometric{MortalityFactor: stress.MortalityShockFactor}) - base,
+		LapseUp:   bel(eeb.Biometric{LapseFactor: stress.LapseShockFactor}) - base,
+		LapseDown: bel(eeb.Biometric{LapseFactor: 2 - stress.LapseShockFactor}) - base,
 	}
-	r1, _ := v1.ValueNested()
-	r2, _ := v2.ValueNested()
-	if r1.BEL != r2.BEL || r1.SCR != r2.SCR {
-		t.Fatal("default assumptions diverge from NewValuer")
+}
+
+// checkOnerousLapse: the two lapse directions move the liability opposite
+// ways, so the onerous direction is the max of the two — the one that
+// raises the liability — and the other floors to a zero charge.
+func checkOnerousLapse(t *testing.T, d lifeDeltas) {
+	t.Helper()
+	if d.LapseUp*d.LapseDown > 0 {
+		t.Fatalf("lapse up %v and down %v move the liability the same way", d.LapseUp, d.LapseDown)
 	}
 }
 
 func TestLongevityStressBitesAnnuities(t *testing.T) {
-	res, err := ValueBiometricStresses(annuityBlock(t), 11)
-	if err != nil {
-		t.Fatal(err)
+	d := valueLifeShocks(t, annuityBlock(t), 11)
+	if d.Base <= 0 {
+		t.Fatalf("base BEL = %v", d.Base)
 	}
-	if res.BaseBEL <= 0 {
-		t.Fatalf("base BEL = %v", res.BaseBEL)
-	}
-	if res.Longevity <= 0 {
-		t.Fatalf("longevity stress did not raise annuity liability: %v", res.Longevity)
+	if d.Longevity <= 0 {
+		t.Fatalf("longevity stress did not raise annuity liability: %v", d.Longevity)
 	}
 	// On annuities, longevity dominates mortality.
-	if res.Mortality >= res.Longevity {
-		t.Fatalf("mortality SCR %v >= longevity SCR %v on an annuity book",
-			res.Mortality, res.Longevity)
+	if d.Mortality >= d.Longevity {
+		t.Fatalf("mortality delta %v >= longevity delta %v on an annuity book", d.Mortality, d.Longevity)
 	}
-	// The onerous lapse direction is the max of the two.
-	if res.LapseOnerous < res.LapseUp || res.LapseOnerous < res.LapseDown {
-		t.Fatal("onerous lapse not the max of the two directions")
-	}
+	checkOnerousLapse(t, d)
 }
 
 func TestMortalityStressBitesProtection(t *testing.T) {
-	res, err := ValueBiometricStresses(protectionBlock(t), 13)
-	if err != nil {
-		t.Fatal(err)
+	d := valueLifeShocks(t, protectionBlock(t), 13)
+	if d.Mortality <= 0 {
+		t.Fatalf("mortality stress did not raise term-insurance liability: %v", d.Mortality)
 	}
-	if res.Mortality <= 0 {
-		t.Fatalf("mortality stress did not raise term-insurance liability: %v", res.Mortality)
+	if d.Longevity >= d.Mortality {
+		t.Fatalf("longevity delta %v >= mortality delta %v on a protection book", d.Longevity, d.Mortality)
 	}
-	if res.Longevity >= res.Mortality {
-		t.Fatalf("longevity SCR %v >= mortality SCR %v on a protection book",
-			res.Longevity, res.Mortality)
-	}
+	checkOnerousLapse(t, d)
 }
 
 func TestStressesDeterministic(t *testing.T) {
 	b := annuityBlock(t)
-	r1, err := ValueBiometricStresses(b, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, _ := ValueBiometricStresses(b, 3)
-	if *r1 != *r2 {
-		t.Fatal("stressed valuations not reproducible")
+	if d1, d2 := valueLifeShocks(t, b, 3), valueLifeShocks(t, b, 3); d1 != d2 {
+		t.Fatalf("stressed valuations not reproducible: %+v vs %+v", d1, d2)
 	}
 }
 
+// TestAssumptionsValidation checks that stressed assumptions, which reach the
+// valuer as a block's Biometric basis, are refused where the block is unfit:
+// a type-A block carrying a stress basis, and a basis with a negative factor.
 func TestAssumptionsValidation(t *testing.T) {
-	if _, err := NewValuerWithAssumptions(nil, 1, Assumptions{}); err == nil {
-		t.Fatal("nil block accepted")
+	stressed := *annuityBlock(t)
+	stressed.Biometric = eeb.Biometric{MortalityFactor: 1.15}
+	if _, err := NewValuer(&stressed, 1); err != nil {
+		t.Fatalf("valid stress basis refused: %v", err)
 	}
-	b := annuityBlock(t)
-	b.Type = eeb.ActuarialValuation
-	if _, err := NewValuerWithAssumptions(b, 1, Assumptions{}); err == nil {
-		t.Fatal("type-A block accepted")
+	typeA := stressed
+	typeA.Type = eeb.ActuarialValuation
+	if _, err := NewValuer(&typeA, 1); err == nil {
+		t.Fatal("type-A block with a stress basis accepted")
 	}
-}
-
-// TestBlockBiometricMatchesExplicitAssumptions checks the campaign path:
-// stamping a Biometric basis on the block must reproduce the explicitly
-// stressed assumptions bit-for-bit (same scenarios, scaled decrements).
-func TestBlockBiometricMatchesExplicitAssumptions(t *testing.T) {
-	b := protectionBlock(t)
-	explicit, err := NewValuerWithAssumptions(b, 5, Assumptions{
-		Mortality: func(g actuarial.Gender) actuarial.MortalityModel {
-			return actuarial.MortalityStress(actuarial.ForGender(g))
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stamped := *b
-	stamped.Biometric = eeb.Biometric{MortalityFactor: 1.15}
-	viaBlock, err := NewValuer(&stamped, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := explicit.ValueNested()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := viaBlock.ValueNested()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.BEL != rb.BEL || re.SCR != rb.SCR {
-		t.Fatalf("block-stamped stress (%v, %v) != explicit assumptions (%v, %v)",
-			rb.BEL, rb.SCR, re.BEL, re.SCR)
-	}
-	base, err := NewValuer(b, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r0, err := base.ValueNested()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.BEL <= r0.BEL {
-		t.Fatalf("mortality stress did not raise protection BEL: %v <= %v", rb.BEL, r0.BEL)
+	for _, bad := range []eeb.Biometric{{MortalityFactor: -0.1}, {LapseFactor: -1}} {
+		b := stressed
+		b.Biometric = bad
+		if _, err := NewValuer(&b, 1); err == nil {
+			t.Fatalf("negative biometric basis %+v accepted", bad)
+		}
 	}
 }
 

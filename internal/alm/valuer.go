@@ -56,7 +56,11 @@ type Valuer struct {
 // scaled accordingly. Panel buffers come from the block's Buffers pool, or
 // the process-wide shared pool when the block carries none.
 func NewValuer(b *eeb.Block, seed uint64) (*Valuer, error) {
-	return NewValuerWithAssumptions(b, seed, Assumptions{})
+	job, err := NewJobValuer([]*eeb.Block{b}, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &Valuer{job: job}, nil
 }
 
 // Block returns the block the valuer executes.

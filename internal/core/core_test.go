@@ -235,37 +235,6 @@ func TestWithKnowledgeBaseWarmStart(t *testing.T) {
 	}
 }
 
-func TestHeterogeneousDeployExtension(t *testing.T) {
-	d, err := NewDeployer(51, WithHeterogeneous(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Bootstrap(context.Background(), workloadMix(), provision.MinSamplesToTrain, 4); err != nil {
-		t.Fatal(err)
-	}
-	// Run several ML deploys; heterogeneous candidates are in the pool, and
-	// whatever is selected must execute and bill correctly.
-	sawRun := false
-	for i := 0; i < 10; i++ {
-		rep, err := d.Deploy(context.Background(), workload(), provision.Constraints{
-			TmaxSeconds: 600, MaxNodes: 4, Epsilon: 0.5,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.ActualSeconds <= 0 {
-			t.Fatal("degenerate heterogeneous run")
-		}
-		if len(rep.Choice.Slots) == 2 {
-			sawRun = true
-			if rep.BilledUSD <= 0 {
-				t.Fatal("heterogeneous run not billed")
-			}
-		}
-	}
-	_ = sawRun // mixes are candidates; selection may legitimately prefer homogeneous
-}
-
 func TestRunSimulationEndToEnd(t *testing.T) {
 	market := stochastic.Config{
 		Horizon:      12,

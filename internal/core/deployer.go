@@ -27,9 +27,8 @@ import (
 )
 
 // ErrDegenerateMeasurement is returned when the (simulated) cloud reports a
-// non-positive or non-finite execution time for a slot — a measurement that
-// would otherwise poison the knowledge base and the heterogeneous rate
-// composition with Inf/NaN.
+// non-positive or non-finite execution time — a measurement that would
+// otherwise poison the knowledge base with Inf/NaN.
 var ErrDegenerateMeasurement = errors.New("core: degenerate measured execution time")
 
 // MaxManualNodes bounds the node count accepted by DeployManual and
@@ -104,12 +103,10 @@ type convoy struct {
 type Option func(*deployerConfig)
 
 type deployerConfig struct {
-	perf          cloud.PerfModel
-	kb            *kb.KB
-	catalog       []cloud.InstanceType
-	heterogeneous bool
-	retrainEvery  int
-	runner        BlockRunner
+	kb           *kb.KB
+	catalog      []cloud.InstanceType
+	retrainEvery int
+	runner       BlockRunner
 }
 
 // WithRetrainEvery retrains the affected architecture's models only every
@@ -118,11 +115,6 @@ type deployerConfig struct {
 // retrain explicitly anyway.
 func WithRetrainEvery(k int) Option {
 	return func(c *deployerConfig) { c.retrainEvery = k }
-}
-
-// WithPerfModel overrides the cloud performance model.
-func WithPerfModel(pm cloud.PerfModel) Option {
-	return func(c *deployerConfig) { c.perf = pm }
 }
 
 // WithKnowledgeBase starts from an existing knowledge base (e.g. loaded
@@ -136,20 +128,14 @@ func WithCatalog(cat []cloud.InstanceType) Option {
 	return func(c *deployerConfig) { c.catalog = cat }
 }
 
-// WithHeterogeneous enables the heterogeneous-deploy extension (the paper's
-// future work).
-func WithHeterogeneous(on bool) Option {
-	return func(c *deployerConfig) { c.heterogeneous = on }
-}
-
 // NewDeployer wires a deployer rooted at seed. The same seed reproduces the
 // entire campaign: exploration, noise and all.
 func NewDeployer(seed uint64, opts ...Option) (*Deployer, error) {
-	cfg := deployerConfig{perf: cloud.DefaultPerfModel(), kb: kb.New(), catalog: cloud.Catalog()}
+	cfg := deployerConfig{kb: kb.New(), catalog: cloud.Catalog()}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	provider, err := cloud.NewProvider(cfg.perf)
+	provider, err := cloud.NewProvider(cloud.DefaultPerfModel())
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +145,6 @@ func NewDeployer(seed uint64, opts ...Option) (*Deployer, error) {
 	if err != nil {
 		return nil, err
 	}
-	sel.Heterogeneous = cfg.heterogeneous
 	if cfg.retrainEvery < 1 {
 		cfg.retrainEvery = 1
 	}
@@ -207,9 +192,9 @@ type Report struct {
 	Fallback         bool    // true when no config met Tmax and the fastest was used
 	KBSize           int     // knowledge-base size after recording
 
-	// sample is the knowledge-base record this deploy added (nil for
-	// heterogeneous deploys, which record nothing). Kept so a valuation that
-	// panics after its deploy can retract the sample — see Deployer.forget.
+	// sample is the knowledge-base record this deploy added (nil when a
+	// revocation stretched the run). Kept so a valuation that panics after
+	// its deploy can retract the sample — see Deployer.forget.
 	sample *kb.Sample
 }
 
@@ -516,72 +501,39 @@ func (d *Deployer) CheapestFeasibleUSD(ctx context.Context, f eeb.Characteristic
 
 // execute launches the chosen deploy, runs the workload, terminates the
 // cluster and records the sample. Cloud noise is drawn from rng; d.mu must
-// be held.
+// be held. The deployer's selector never sets Heterogeneous, so a choice is
+// one homogeneous slot.
 func (d *Deployer) execute(choice provision.Choice, f eeb.CharacteristicParams, rng *finmath.RNG) (*Report, error) {
-	rep := &Report{Choice: choice, PredictedSeconds: choice.PredictedSeconds}
-	switch len(choice.Slots) {
-	case 1:
-		slot := choice.Slots[0]
-		cluster, err := d.provider.Launch(rng, slot.Type, slot.Nodes, choice.Tier)
-		if err != nil {
-			return nil, err
-		}
-		secs, err := cluster.RunBlock(rng, f)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkMeasurement(slot, secs); err != nil {
-			return nil, err
-		}
-		rep.ActualSeconds = secs
-		rep.ProRataUSD = d.provider.PriceSchedule().ProRataCost(slot.Type, choice.Tier, slot.Nodes, secs)
-		rep.OnDemandUSD = cloud.BilledCost(slot.Type, slot.Nodes, cluster.ElapsedSeconds())
-		rep.Revocations = cluster.Revocations()
-		rep.BilledUSD = cluster.Terminate()
-		if rep.Revocations > 0 {
-			// A revocation-stretched duration is not an architecture
-			// measurement — recording it would teach the predictor that
-			// this (type, nodes) is slower than it is. Skip the sample;
-			// the valuation results are unaffected.
-			break
-		}
-		sample := kb.Sample{
-			Architecture: slot.Type.Name, Nodes: slot.Nodes, Params: f, Seconds: secs,
-		}
+	if len(choice.Slots) != 1 {
+		return nil, fmt.Errorf("core: unsupported deploy with %d slots", len(choice.Slots))
+	}
+	slot := choice.Slots[0]
+	cluster, err := d.provider.Launch(rng, slot.Type, slot.Nodes, choice.Tier)
+	if err != nil {
+		return nil, err
+	}
+	secs, err := cluster.RunBlock(rng, f)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkMeasurement(slot, secs); err != nil {
+		return nil, err
+	}
+	rep := &Report{Choice: choice, PredictedSeconds: choice.PredictedSeconds, ActualSeconds: secs}
+	rep.ProRataUSD = d.provider.PriceSchedule().ProRataCost(slot.Type, choice.Tier, slot.Nodes, secs)
+	rep.OnDemandUSD = cloud.BilledCost(slot.Type, slot.Nodes, cluster.ElapsedSeconds())
+	rep.Revocations = cluster.Revocations()
+	rep.BilledUSD = cluster.Terminate()
+	// A revocation-stretched duration is not an architecture measurement —
+	// recording it would teach the predictor that this (type, nodes) is
+	// slower than it is. Skip the sample; the valuation results are
+	// unaffected.
+	if rep.Revocations == 0 {
+		sample := kb.Sample{Architecture: slot.Type.Name, Nodes: slot.Nodes, Params: f, Seconds: secs}
 		if err := d.kb.Add(sample); err != nil {
 			return nil, err
 		}
 		rep.sample = &sample
-	case 2:
-		// Heterogeneous extension: both slots run the proportional split and
-		// finish together; the combined duration composes the slot rates.
-		var rates, prorata, billed, onDemand float64
-		for _, slot := range choice.Slots {
-			cluster, err := d.provider.Launch(rng, slot.Type, slot.Nodes, choice.Tier)
-			if err != nil {
-				return nil, err
-			}
-			secs, err := cluster.RunBlock(rng, f)
-			if err != nil {
-				return nil, err
-			}
-			if err := checkMeasurement(slot, secs); err != nil {
-				return nil, err
-			}
-			rates += 1 / secs
-			onDemand += cloud.BilledCost(slot.Type, slot.Nodes, cluster.ElapsedSeconds())
-			rep.Revocations += cluster.Revocations()
-			billed += cluster.Terminate()
-			prorata += slot.Type.HourlyUSD * float64(slot.Nodes)
-		}
-		rep.ActualSeconds = 1 / rates
-		rep.ProRataUSD = prorata * rep.ActualSeconds / 3600
-		rep.BilledUSD = billed
-		rep.OnDemandUSD = onDemand
-		// Heterogeneous runs are not recorded: the per-architecture training
-		// sets assume a full-workload execution on one architecture.
-	default:
-		return nil, fmt.Errorf("core: unsupported deploy with %d slots", len(choice.Slots))
 	}
 	rep.KBSize = d.kb.Len()
 	return rep, nil
@@ -620,7 +572,7 @@ func (d *Deployer) Relearn() error {
 }
 
 // checkMeasurement rejects non-positive or non-finite slot durations before
-// they reach the knowledge base or the 1/secs rate composition.
+// they reach the knowledge base.
 func checkMeasurement(slot provision.Slot, secs float64) error {
 	if secs <= 0 || math.IsNaN(secs) || math.IsInf(secs, 0) {
 		return fmt.Errorf("%w: %gs on %dx%s", ErrDegenerateMeasurement, secs, slot.Nodes, slot.Type.Name)

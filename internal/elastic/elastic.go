@@ -107,11 +107,8 @@ func (c Config) Validate() error {
 	if c.MaxWorkers < c.MinWorkers {
 		return fmt.Errorf("elastic: MaxWorkers %d below MinWorkers %d", c.MaxWorkers, c.MinWorkers)
 	}
-	if c.ScaleUpPressure <= 0 || c.ScaleDownPressure < 0 {
-		return errors.New("elastic: pressure thresholds must be positive")
-	}
-	if c.ScaleDownPressure >= c.ScaleUpPressure {
-		return fmt.Errorf("elastic: no hysteresis band: scale-down threshold %.3g must be below scale-up threshold %.3g",
+	if !(c.ScaleDownPressure >= 0 && c.ScaleDownPressure < c.ScaleUpPressure) || math.IsInf(c.ScaleUpPressure, 1) {
+		return fmt.Errorf("elastic: pressure thresholds need 0 <= scale-down %.3g < scale-up %.3g < +Inf (the hysteresis band)",
 			c.ScaleDownPressure, c.ScaleUpPressure)
 	}
 	if c.ScaleUpCooldown < 0 || c.ScaleDownCooldown < 0 || c.ShrinkStableFor < 0 {

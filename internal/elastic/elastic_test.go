@@ -1,6 +1,7 @@
 package elastic
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -41,6 +42,10 @@ func TestConfigValidate(t *testing.T) {
 		{"inverted band", func(c *Config) { c.ScaleDownPressure = c.ScaleUpPressure + 1 }},
 		{"negative cooldown", func(c *Config) { c.ScaleUpCooldown = -time.Second }},
 		{"negative step", func(c *Config) { c.MaxStep = -1 }},
+		{"NaN scale-up pressure", func(c *Config) { c.ScaleUpPressure = math.NaN() }},
+		{"NaN scale-down pressure", func(c *Config) { c.ScaleDownPressure = math.NaN() }},
+		{"infinite scale-up pressure", func(c *Config) { c.ScaleUpPressure = math.Inf(1) }},
+		{"negative scale-down pressure", func(c *Config) { c.ScaleDownPressure = -0.5 }},
 	}
 	for _, tc := range cases {
 		cfg := testConfig()

@@ -24,6 +24,7 @@ package forecast
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -214,17 +215,14 @@ func (c Config) Validate() error {
 	if c.MinSamples < 2 || c.MinSamples > c.Window {
 		return fmt.Errorf("forecast: MinSamples %d outside [2, Window=%d]", c.MinSamples, c.Window)
 	}
-	if c.Headroom < 1 {
-		return fmt.Errorf("forecast: Headroom %g below 1", c.Headroom)
+	if !(c.Headroom >= 1) || math.IsInf(c.Headroom, 1) {
+		return fmt.Errorf("forecast: Headroom %g is not a finite factor >= 1", c.Headroom)
 	}
 	if c.Horizon < 1 {
 		return errors.New("forecast: Horizon must be at least 1")
 	}
-	if c.SeasonPeriod < 0 {
-		return errors.New("forecast: SeasonPeriod must be non-negative")
-	}
-	if c.SeasonPeriod > c.Window/2 {
-		return fmt.Errorf("forecast: SeasonPeriod %d needs at least two full seasons inside Window %d", c.SeasonPeriod, c.Window)
+	if c.SeasonPeriod < 0 || c.SeasonPeriod > c.Window/2 {
+		return fmt.Errorf("forecast: SeasonPeriod %d outside [0, %d]: Holt-Winters needs two full seasons inside Window %d", c.SeasonPeriod, c.Window/2, c.Window)
 	}
 	if c.ARLags < 1 {
 		return errors.New("forecast: ARLags must be at least 1")

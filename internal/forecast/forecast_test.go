@@ -296,6 +296,8 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{MinSamples: 1},
 		{Headroom: 0.5},
+		{Headroom: math.NaN()},
+		{Headroom: math.Inf(1)},
 		{SeasonPeriod: -1},
 		{Window: 32, SeasonPeriod: 20},
 		{ReselectEvery: -1},

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -128,8 +127,6 @@ func TestRunRejectsShortParts(t *testing.T) {
 // the time it returns.
 func TestRunLeavesNoGoroutineBehind(t *testing.T) {
 	blocks := testBlocks(t)
-	var failures atomic.Int64
-	failures.Store(1 << 30)
 	cases := []struct {
 		name string
 		run  func() error
@@ -139,9 +136,7 @@ func TestRunLeavesNoGoroutineBehind(t *testing.T) {
 			return err
 		}},
 		{"permanent fault", func() error {
-			m := &Master{Workers: 5, Seed: 42, MaxRetries: 1, newExecutor: func(seed uint64) executor {
-				return &flakyExecutor{inner: NewEngine(seed), failures: &failures}
-			}}
+			m := &Master{Workers: 5, Seed: 42, newExecutor: func(uint64) executor { return failingExecutor{} }}
 			if _, err := m.Run(context.Background(), blocks); err == nil {
 				return errors.New("permanent fault did not fail the run")
 			}

@@ -103,7 +103,7 @@ func (e *Engine) ExecuteRange(ctx context.Context, job *alm.JobValuer, from, to 
 }
 
 // executor abstracts the DiEng range execution so fault-injection tests can
-// wrap it with transient failures.
+// wrap it with failures and panics.
 type executor interface {
 	ExecuteRange(ctx context.Context, job *alm.JobValuer, from, to int, onDone func()) ([][]float64, error)
 }
@@ -121,12 +121,6 @@ type Master struct {
 	// OnProgress, when non-nil, receives monitoring events. Calls are
 	// serialised by the master.
 	OnProgress func(Progress)
-	// MaxRetries re-executes a failed outer-range slice up to this many
-	// extra times before the whole run fails. The valuation is
-	// deterministic, so a retried slice returns exactly the values the
-	// failed attempt would have — transient worker faults are absorbed
-	// without changing any number.
-	MaxRetries int
 
 	// newExecutor is a test seam for fault injection; nil means NewEngine.
 	newExecutor func(seed uint64) executor
@@ -139,54 +133,16 @@ func (m *Master) executor() executor {
 	return NewEngine(m.Seed)
 }
 
-// executeWithRetry runs one slice, absorbing up to MaxRetries transient
-// failures. Cancellation is never retried: it propagates immediately and
-// unwrapped so callers can match it with errors.Is.
-//
-// Progress is retry-idempotent: a failed attempt has already invoked onDone
-// for every path it completed before erroring, and the retry recomputes
-// those same paths (the valuation is deterministic per index). Replaying
-// their onDone calls would push the blocks' Done counts past their
-// outer-path total, so a high-water wrapper reports each path position at
-// most once across all attempts — only completions beyond the furthest
-// point any earlier attempt reached reach the caller's callback.
-func (m *Master) executeWithRetry(ctx context.Context, eng executor, job *alm.JobValuer, from, to int, onDone func()) ([][]float64, error) {
-	wrapped := onDone
-	reported := 0
-	attemptDone := 0
-	if onDone != nil {
-		wrapped = func() {
-			attemptDone++
-			if attemptDone > reported {
-				reported = attemptDone
-				onDone()
-			}
-		}
-	}
-	var lastErr error
-	for attempt := 0; attempt <= m.MaxRetries; attempt++ {
-		attemptDone = 0
-		local, err := eng.ExecuteRange(ctx, job, from, to, wrapped)
-		if err == nil {
-			return local, nil
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("grid: slice [%d,%d) of the walk of %s failed after %d attempts: %w",
-		from, to, job.Blocks()[0].ID, m.MaxRetries+1, lastErr)
-}
-
 // Run executes every type-B block in blocks across the master's workers and
 // returns the assembled results keyed by block ID: the master loop (RunWith)
 // over the in-process scatter. Type-A blocks in the input are validated and
 // skipped: the valuer computes the decrements it needs itself.
 //
 // Cancelling ctx stops every rank between outer paths and Run returns
-// ctx.Err(); a rank that fails for good (after MaxRetries) or panics stops
-// its siblings the same way and Run returns that rank's error.
+// ctx.Err(); a rank that fails or panics stops its siblings the same way
+// and Run returns that rank's error. A failed range is not retried: the
+// engine fails only on a cancelled context or a malformed range, and a rerun
+// would meet either again.
 func (m *Master) Run(ctx context.Context, blocks []*eeb.Block) (map[string]*alm.Result, error) {
 	if m.Workers <= 0 {
 		return nil, errors.New("grid: master needs at least one worker")
@@ -207,7 +163,7 @@ func (m *Master) scatter(ctx context.Context, job *alm.JobValuer, onPath func())
 	ranks := min(m.Workers, outer)
 	err := ForkJoin(ctx, ranks, ranks, func(ctx context.Context, rank int) error {
 		from, to := SplitRange(outer, m.Workers, rank)
-		local, err := m.executeWithRetry(ctx, m.executor(), job, from, to, onPath)
+		local, err := m.executor().ExecuteRange(ctx, job, from, to, onPath)
 		if err != nil {
 			return err
 		}

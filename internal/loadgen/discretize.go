@@ -11,9 +11,9 @@ import (
 // and a falling branch, and the occupied (level, branch) pairs become the
 // phases of a finite chain whose transition probabilities are the empirical
 // frequencies observed along the signal. It is the bridge between the
-// synthetic trace generators (and recorded telemetry) and the policy
-// verifier in internal/verify: a scaling policy composed with a PhaseModel
-// is a finite MDP whose properties value iteration computes exactly.
+// synthetic trace generators and the policy verifier in internal/verify: a
+// scaling policy composed with a PhaseModel is a finite MDP whose
+// properties value iteration computes exactly.
 //
 // The branch split matters for periodic signals: a sinusoid visits the same
 // rate level twice per period, once rising and once falling, and collapsing
@@ -59,45 +59,7 @@ func DiscretizeRates(rates []float64, levels int) (PhaseModel, error) {
 		}
 		lo, hi = math.Min(lo, r), math.Max(hi, r)
 	}
-	return discretize(rates, rates, lo, hi, levels), nil
-}
-
-// DiscretizeCounts builds a PhaseModel from recorded per-interval arrival
-// counts — the telemetry path (forecast.Recorder.Arrivals). Counts carry
-// Poisson noise on top of the underlying rate, so phase ASSIGNMENT uses a
-// centered width-3 moving average (otherwise every noisy interval becomes
-// its own excursion between levels), while phase RATES are the means of the
-// raw counts, so no arrival mass is smoothed away.
-func DiscretizeCounts(counts []float64, levels int) (PhaseModel, error) {
-	if len(counts) < 2 {
-		return PhaseModel{}, errors.New("loadgen: discretization needs at least 2 intervals")
-	}
-	if levels < 1 || levels > MaxPhaseLevels {
-		return PhaseModel{}, fmt.Errorf("loadgen: phase levels %d outside [1, %d]", levels, MaxPhaseLevels)
-	}
-	smooth := make([]float64, len(counts))
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for i, c := range counts {
-		if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
-			return PhaseModel{}, fmt.Errorf("loadgen: count %g is not a finite non-negative number", c)
-		}
-		sum, n := c, 1.0
-		if i > 0 {
-			sum, n = sum+counts[i-1], n+1
-		}
-		if i < len(counts)-1 {
-			sum, n = sum+counts[i+1], n+1
-		}
-		smooth[i] = sum / n
-		lo, hi = math.Min(lo, smooth[i]), math.Max(hi, smooth[i])
-	}
-	return discretize(smooth, counts, lo, hi, levels), nil
-}
-
-// discretize is the shared construction: assign phases on the assignment
-// signal, average the value signal per phase, count transitions.
-func discretize(assign, values []float64, lo, hi float64, levels int) PhaseModel {
-	n := len(assign)
+	n := len(rates)
 	width := (hi - lo) / float64(levels)
 	level := func(r float64) int {
 		if width <= 0 {
@@ -114,12 +76,12 @@ func discretize(assign, values []float64, lo, hi float64, levels int) PhaseModel
 	// flip-flop between two.
 	keys := make([]int, n)
 	dir := 0 // +1 rising, -1 falling, 0 unknown (treated as rising)
-	for i := range assign {
+	for i := range rates {
 		if i > 0 {
 			switch {
-			case assign[i] > assign[i-1]:
+			case rates[i] > rates[i-1]:
 				dir = 1
-			case assign[i] < assign[i-1]:
+			case rates[i] < rates[i-1]:
 				dir = -1
 			}
 		}
@@ -127,7 +89,7 @@ func discretize(assign, values []float64, lo, hi float64, levels int) PhaseModel
 		if dir < 0 {
 			branch = 1
 		}
-		keys[i] = level(assign[i])*2 + branch
+		keys[i] = level(rates[i])*2 + branch
 	}
 	// Compact the occupied keys into dense phase indices, ordered by key so
 	// the model is independent of visit order.
@@ -156,7 +118,7 @@ func discretize(assign, values []float64, lo, hi float64, levels int) PhaseModel
 	for i, key := range keys {
 		ph := index[key]
 		m.PhaseOf[i] = ph
-		m.Rates[ph] += values[i]
+		m.Rates[ph] += rates[i]
 		members[ph]++
 		if i+1 < n {
 			counts[ph][index[keys[i+1]]]++
@@ -177,5 +139,5 @@ func discretize(assign, values []float64, lo, hi float64, levels int) PhaseModel
 		}
 	}
 	m.Init[m.PhaseOf[0]] = 1
-	return m
+	return m, nil
 }

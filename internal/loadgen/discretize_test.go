@@ -136,43 +136,6 @@ func TestDiscretizeDiurnalSeparatesBranches(t *testing.T) {
 	}
 }
 
-func TestDiscretizeCountsSurvivesNoise(t *testing.T) {
-	spec := Spec{Kind: Diurnal, Intervals: 144, Seed: 11, BaseRate: 2, PeakRate: 10, Period: 24}
-	counts, rates, err := GenerateWithRates(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := make([]float64, len(counts))
-	total := 0.0
-	for i, c := range counts {
-		series[i] = float64(c)
-		total += float64(c)
-	}
-	m, err := DiscretizeCounts(series, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkStochastic(t, m, len(series))
-	// No arrival mass may be smoothed away: the occupancy-weighted phase
-	// rates must resum to the observed total.
-	resum := 0.0
-	for _, ph := range m.PhaseOf {
-		resum += m.Rates[ph]
-	}
-	if math.Abs(resum-total) > 1e-6 {
-		t.Fatalf("phase rates resum to %g, observed total %g", resum, total)
-	}
-	// The noisy counts must still land near the true profile's mean.
-	profileMean := 0.0
-	for _, r := range rates {
-		profileMean += r
-	}
-	profileMean /= float64(len(rates))
-	if math.Abs(resum/float64(len(series))-profileMean) > 0.2*profileMean {
-		t.Fatalf("telemetry mean %g far from profile mean %g", resum/float64(len(series)), profileMean)
-	}
-}
-
 func TestDiscretizeDeterminism(t *testing.T) {
 	spec := Spec{Kind: Mixed, Intervals: 120, Seed: 3, BaseRate: 2, PeakRate: 9}
 	rates, err := Rates(spec)
@@ -208,9 +171,6 @@ func TestDiscretizeRejectsDegenerateInput(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := DiscretizeRates(tc.rates, tc.levels); err == nil {
 			t.Errorf("%s: DiscretizeRates accepted degenerate input", tc.name)
-		}
-		if _, err := DiscretizeCounts(tc.rates, tc.levels); err == nil {
-			t.Errorf("%s: DiscretizeCounts accepted degenerate input", tc.name)
 		}
 	}
 }

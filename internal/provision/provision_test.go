@@ -53,6 +53,9 @@ func TestConstraintsValidate(t *testing.T) {
 		{TmaxSeconds: 0, MaxNodes: 8},
 		{TmaxSeconds: 600, MaxNodes: 0},
 		{TmaxSeconds: 600, MaxNodes: 8, Epsilon: 1.5},
+		{TmaxSeconds: math.NaN(), MaxNodes: 8},
+		{TmaxSeconds: math.Inf(1), MaxNodes: 8},
+		{TmaxSeconds: 600, MaxNodes: 8, Epsilon: math.NaN()},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

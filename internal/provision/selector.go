@@ -62,16 +62,16 @@ type Constraints struct {
 
 // Validate reports whether the constraints are admissible.
 func (c Constraints) Validate() error {
-	if c.TmaxSeconds <= 0 {
-		return errors.New("provision: Tmax must be positive")
+	if !(c.TmaxSeconds > 0) || math.IsInf(c.TmaxSeconds, 1) {
+		return errors.New("provision: Tmax must be positive and finite")
 	}
 	if c.MaxNodes <= 0 {
 		return errors.New("provision: MaxNodes must be positive")
 	}
-	if c.Epsilon < 0 || c.Epsilon > 1 {
+	if !(c.Epsilon >= 0 && c.Epsilon <= 1) {
 		return errors.New("provision: epsilon outside [0,1]")
 	}
-	if c.MaxCost < 0 || math.IsNaN(c.MaxCost) || math.IsInf(c.MaxCost, 0) {
+	if !(c.MaxCost >= 0) || math.IsInf(c.MaxCost, 1) {
 		return errors.New("provision: MaxCost must be finite and non-negative")
 	}
 	for _, t := range c.Tiers {
@@ -158,10 +158,9 @@ type Selector struct {
 	pred    Predictor
 	catalog []cloud.InstanceType
 
-	// Schedule prices candidates across tiers; NewSelector defaults it to
-	// the calibrated default schedule. It should be the same schedule the
-	// provider bills against, or predicted and billed dollars diverge.
-	Schedule *cloud.PriceSchedule
+	// schedule prices candidates across tiers: the calibrated default
+	// schedule, which the simulated provider bills against too.
+	schedule *cloud.PriceSchedule
 
 	// rngMu guards rng: finmath.RNG is not safe for concurrent use, and an
 	// unguarded epsilon-greedy draw under concurrent Select calls is a data
@@ -189,16 +188,7 @@ func NewSelector(pred Predictor, catalog []cloud.InstanceType, rng *finmath.RNG)
 	if len(catalog) == 0 {
 		return nil, errors.New("provision: empty catalog")
 	}
-	return &Selector{pred: pred, catalog: catalog, rng: rng, Schedule: cloud.DefaultPriceSchedule()}, nil
-}
-
-// schedule returns the selector's price schedule, defaulting lazily so a
-// zero-value-constructed selector still prices sanely.
-func (s *Selector) schedule() *cloud.PriceSchedule {
-	if s.Schedule == nil {
-		s.Schedule = cloud.DefaultPriceSchedule()
-	}
-	return s.Schedule
+	return &Selector{pred: pred, catalog: catalog, rng: rng, schedule: cloud.DefaultPriceSchedule()}, nil
 }
 
 // reservationHeadroomFactor / reservationHeadroomSeconds pad the predicted
@@ -241,7 +231,7 @@ func (s *Selector) Candidates(ctx context.Context, f eeb.CharacteristicParams, c
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	ps := s.schedule()
+	ps := s.schedule
 	tiers := c.EffectiveTiers()
 	var out []Choice
 	trainedAny := false
@@ -350,7 +340,7 @@ func (s *Selector) heterogeneousCandidates(ctx context.Context, f eeb.Characteri
 						PredictedSeconds: t,
 						PredictedCost:    cost,
 					}
-					ch.PredictedBilledUSD = BilledEstimate(s.schedule(), ch)
+					ch.PredictedBilledUSD = BilledEstimate(s.schedule, ch)
 					out = append(out, ch)
 				}
 			}

@@ -21,8 +21,8 @@ type ArrivalModel struct {
 	Trans [][]float64
 	// Init is the initial phase distribution.
 	Init []float64
-	// Source records how the model was obtained ("exact-mmpp",
-	// "discretized", "telemetry") for reports.
+	// Source records how the model was obtained ("exact-mmpp" or
+	// "discretized") for reports.
 	Source string
 }
 
@@ -108,22 +108,7 @@ func ModelFromSpec(spec loadgen.Spec, levels int) (ArrivalModel, error) {
 	if err != nil {
 		return ArrivalModel{}, err
 	}
-	return fromPhaseModel(pm, "discretized"), nil
-}
-
-// ModelFromCounts derives an arrival model from recorded per-interval
-// arrival counts — the telemetry path, fed from forecast.Recorder history.
-func ModelFromCounts(counts []float64, levels int) (ArrivalModel, error) {
-	pm, err := loadgen.DiscretizeCounts(counts, levels)
-	if err != nil {
-		return ArrivalModel{}, err
-	}
-	return fromPhaseModel(pm, "telemetry"), nil
-}
-
-// fromPhaseModel adapts a loadgen discretization to the verifier's type.
-func fromPhaseModel(pm loadgen.PhaseModel, source string) ArrivalModel {
-	return ArrivalModel{Rates: pm.Rates, Trans: pm.Trans, Init: pm.Init, Source: source}
+	return ArrivalModel{Rates: pm.Rates, Trans: pm.Trans, Init: pm.Init, Source: "discretized"}, nil
 }
 
 // arrivalPMF returns the distribution of per-tick arrivals in a phase:
