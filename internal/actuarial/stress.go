@@ -1,6 +1,9 @@
 package actuarial
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ScaledMortality multiplies a base law's one-year death probabilities by a
 // constant factor, clamped to [0, 1]. It implements the Solvency II
@@ -13,13 +16,14 @@ type ScaledMortality struct {
 	Factor float64
 }
 
-// Validate reports whether the scaling is admissible.
+// Validate reports whether the scaling is admissible: a base law and a
+// finite, non-negative factor.
 func (s ScaledMortality) Validate() error {
 	if s.Base == nil {
 		return fmt.Errorf("actuarial: scaled mortality without base law")
 	}
-	if s.Factor < 0 {
-		return fmt.Errorf("actuarial: negative mortality scaling %v", s.Factor)
+	if !(s.Factor >= 0 && s.Factor <= math.MaxFloat64) {
+		return fmt.Errorf("actuarial: mortality scaling %v must be finite and non-negative", s.Factor)
 	}
 	return nil
 }

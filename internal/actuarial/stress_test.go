@@ -73,6 +73,15 @@ func TestScaledMortalityValidate(t *testing.T) {
 	if err := (ScaledMortality{Base: ItalianMales2016(), Factor: 0.8}).Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// A NaN factor made AnnualDeathProb NaN, +Inf made it 1 at every age.
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (ScaledMortality{Base: ItalianMales2016(), Factor: f}).Validate(); err == nil {
+			t.Errorf("factor %v accepted", f)
+		}
+	}
+	if err := (ScaledMortality{Base: ItalianMales2016(), Factor: 0}).Validate(); err != nil {
+		t.Errorf("zero factor refused: %v", err)
+	}
 }
 
 func TestLongevityStressRaisesEndowmentLiability(t *testing.T) {

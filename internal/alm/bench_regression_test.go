@@ -15,12 +15,16 @@ import (
 // under the generator reads about 1.9x on the hot path). The fusion itself
 // is held as a ratio measured in one process, so the runner's speed cancels:
 // the job walk should cost at most 0.6x of walking its blocks one after
-// another.
+// another. BENCH_pr31.json pins the walk of one block on three decrement
+// bases, one shared book: allocs/op hard, ns/op a warning.
 func TestValuationHotPathBenchSmoke(t *testing.T) {
 	benchgate.Run(t, "../../BENCH_pr25.json", []benchgate.Row{
 		{Name: "BenchmarkValuationHotPath", Bench: BenchmarkValuationHotPath},
 		{Name: "BenchmarkJobWalk/per-block", Bench: benchmarkPerBlockWalk, NsWarnOnly: true},
 		{Name: "BenchmarkJobWalk/job", Bench: benchmarkJobWalk, NsWarnOnly: true},
+	})
+	benchgate.Run(t, "../../BENCH_pr31.json", []benchgate.Row{
+		{Name: "BenchmarkJobWalk/bases", Bench: benchmarkBasesWalk, NsWarnOnly: true},
 	})
 	perBlock, job := testing.Benchmark(benchmarkPerBlockWalk), testing.Benchmark(benchmarkJobWalk)
 	ratio := float64(job.NsPerOp()) / float64(perBlock.NsPerOp())

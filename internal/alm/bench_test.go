@@ -36,7 +36,7 @@ func benchBlock(b *testing.B, outer, inner int) *eeb.Block {
 // revaluation inner loop end to end: a fixed range of outer paths, each with
 // its inner risk-neutral bundle, through the same OuterSlice entry point the
 // distributed grid engine drives. This is THE hot path the elastic
-// provisioner buys VM-hours for; BENCH_pr23.json pins its ns/op and allocs/op
+// provisioner buys VM-hours for; BENCH_pr25.json pins its ns/op and allocs/op
 // and CI fails on >20% regression (TestValuationHotPathBenchSmoke).
 func BenchmarkValuationHotPath(b *testing.B) {
 	v, err := NewValuer(benchBlock(b, hotPathOuter, hotPathInner), 1)

@@ -25,15 +25,21 @@ const (
 // nested Monte Carlo. The blocks share fund, market, scenario source and
 // sample sizes (eeb.SameWalk), so every scenario is generated once and the
 // fund is priced along it once for all of them; only the contracts — each
-// compiled with its decrement table into a policy.Kernel — are per block. A
-// JobValuer is immutable after construction and safe for concurrent use:
-// all mutable state of a walk lives in its own scratch.
+// compiled with its decrement table into a policy.Kernel — are per block.
+// Blocks that hold the same contracts on different decrement bases share a
+// policy.Book, one basis each, so each contract's readjustment chain is
+// computed once per path for all of them. A JobValuer is immutable after
+// construction and safe for concurrent use: all mutable state of a walk
+// lives in its own scratch.
 type JobValuer struct {
 	blocks []*eeb.Block
-	books  []policy.Book // per block, one kernel per contract
-	src    stochastic.Source
-	fund   *fund.Fund
-	pool   *stochastic.BatchPool // panel pool; never nil after construction
+	books  []policy.Book // the blocks' contracts, one basis per block
+	// slots holds, per block, the index of its running sum in a walk's
+	// scratch, where each book's bases take consecutive sums, books in order.
+	slots []int
+	src   stochastic.Source
+	fund  *fund.Fund
+	pool  *stochastic.BatchPool // panel pool; never nil after construction
 	// maxTerm is the widest block's Portfolio.MaxTerm(): the fund is walked
 	// maxTerm-1 inner years per path. Year t's book return does not depend
 	// on how many years are asked for (fund.ReturnsInto), so that path
@@ -48,6 +54,11 @@ type JobValuer struct {
 // NewValuer(block, seed)'s, regardless of how the outer range is
 // partitioned. Scenario source, biometric bases and the panel pool are taken
 // from the blocks as NewValuer takes them (the pool from the first block).
+//
+// A block joins the first book whose contracts have its readjustment chains
+// (policy.Book.Add) as another basis; that is a property of the inputs, so
+// every caller fuses the same way, and a block's values do not depend on
+// whether it shares a book.
 func NewJobValuer(blocks []*eeb.Block, seed uint64) (*JobValuer, error) {
 	if len(blocks) == 0 {
 		return nil, errors.New("alm: no blocks to value")
@@ -83,25 +94,43 @@ func NewJobValuer(blocks []*eeb.Block, seed uint64) (*JobValuer, error) {
 	if j.pool == nil {
 		j.pool = stochastic.SharedBatchPool()
 	}
-	j.books = make([]policy.Book, len(blocks))
+	type place struct{ book, basis int }
+	places := make([]place, len(blocks))
 	for bi, b := range blocks {
 		j.maxTerm = max(j.maxTerm, b.Portfolio.MaxTerm())
-		if j.books[bi], err = compileBook(b); err != nil {
+		kernels, err := compileKernels(b)
+		if err != nil {
 			return nil, err
 		}
+		bk := 0
+		for bk < len(j.books) && !j.books[bk].Add(kernels) {
+			bk++
+		}
+		if bk == len(j.books) {
+			j.books = append(j.books, policy.NewBook(kernels))
+		}
+		places[bi] = place{bk, j.books[bk].Width() - 1}
+	}
+	start := make([]int, len(j.books)) // per book: the slot of its first basis
+	for bk := 1; bk < len(j.books); bk++ {
+		start[bk] = start[bk-1] + j.books[bk-1].Width()
+	}
+	j.slots = make([]int, len(blocks))
+	for bi, p := range places {
+		j.slots[bi] = start[p.book] + p.basis
 	}
 	return j, nil
 }
 
-// compileBook computes the type-A decrement table of every representative
+// compileKernels computes the type-A decrement table of every representative
 // contract of the block, on the standard tables and DefaultLapse scaled by
 // the block's biometric basis, and compiles the contracts against them.
-func compileBook(b *eeb.Block) (policy.Book, error) {
+func compileKernels(b *eeb.Block) ([]policy.Kernel, error) {
 	var lapse actuarial.LapseModel = DefaultLapse()
 	if f := b.Biometric.LapseScale(); f != 1 {
 		lapse = actuarial.LapseStress{Base: lapse, Factor: f}
 	}
-	book := make(policy.Book, len(b.Portfolio.Contracts))
+	kernels := make([]policy.Kernel, len(b.Portfolio.Contracts))
 	for i, c := range b.Portfolio.Contracts {
 		var mort actuarial.MortalityModel = actuarial.ForGender(c.Gender)
 		if f := b.Biometric.MortalityScale(); f != 1 {
@@ -115,11 +144,11 @@ func compileBook(b *eeb.Block) (policy.Book, error) {
 		if err != nil {
 			return nil, fmt.Errorf("alm: contract %d: %w", i, err)
 		}
-		if book[i], err = c.Compile(dec); err != nil {
+		if kernels[i], err = c.Compile(dec); err != nil {
 			return nil, fmt.Errorf("alm: contract %d: %w", i, err)
 		}
 	}
-	return book, nil
+	return kernels, nil
 }
 
 // Blocks returns the blocks the valuer executes, in the order every
@@ -142,22 +171,24 @@ type scratch struct {
 	book    []float64 // fund credited-return buffer
 	market  []float64 // fund market-return buffer
 	disc    []float64 // per-policy-year inner discount factors
-	y1      []float64 // per block: the inner-path sum, then the Y1, of the current outer path
+	sums    []float64 // per slot (JobValuer.slots): the inner-path sum of the current outer path
+	y1      []float64 // per block: the Y1 of the current outer path
 	idx     []int     // fund grid-index buffer
 }
 
 // newScratch sizes a scratch for the job and draws panels from the pool
 // when the scenario source supports batching.
 func (j *JobValuer) newScratch() *scratch {
-	m := j.maxTerm
-	floats := make([]float64, 4*m+len(j.blocks))
+	m, n := j.maxTerm, len(j.blocks)
+	floats := make([]float64, 4*m+2*n)
 	sc := &scratch{
 		pool:    j.pool,
 		returns: floats[:m:m],
 		book:    floats[m : 2*m : 2*m],
 		market:  floats[2*m : 3*m : 3*m],
 		disc:    floats[3*m : 4*m : 4*m],
-		y1:      floats[4*m:],
+		sums:    floats[4*m : 4*m+n : 4*m+n],
+		y1:      floats[4*m+n:],
 		idx:     make([]int, m+1),
 	}
 	if ib, ok := j.src.(stochastic.InnerBatcher); ok {
@@ -177,7 +208,7 @@ func (sc *scratch) release() {
 	sc.inner, sc.outer = nil, nil
 }
 
-// addPresentValues adds, to each block's running sum in sc.y1, the time-1
+// addPresentValues adds, to each block's running sum in sc.sums, the time-1
 // present value of the block's liability cash flows along one inner
 // risk-neutral scenario, given the year-1 fund return realised on the outer
 // path. What does not depend on the block is done once: the returns buffer
@@ -191,8 +222,10 @@ func (j *JobValuer) addPresentValues(outerReturn float64, inner *stochastic.Scen
 	returns[0] = outerReturn
 	copy(returns[1:], j.fund.ReturnsInto(inner, j.maxTerm-1, sc.book, sc.market, sc.idx))
 	disc := inner.DiscountsAt(sc.idx[:j.maxTerm], sc.disc)
-	for bi, book := range j.books {
-		sc.y1[bi] += book.PresentValue(returns, disc)
+	sums := sc.sums
+	for _, book := range j.books {
+		book.AddPresentValues(returns, disc, sums)
+		sums = sums[book.Width():]
 	}
 }
 
@@ -244,7 +277,7 @@ func (j *JobValuer) forEachOuter(from, to int, sc *scratch, fn func(i int, st Ou
 // accumulates its own sum in inner-path order. The returned slice (one value
 // per block) is the scratch's and is overwritten by the next call.
 func (j *JobValuer) valueOuter(i, nInner int, outer OuterState, sc *scratch) []float64 {
-	clear(sc.y1)
+	clear(sc.sums)
 	if ib, ok := j.src.(stochastic.InnerBatcher); ok && sc.inner != nil {
 		for j0 := 0; j0 < nInner; j0 += sc.inner.Cap() {
 			n := min(sc.inner.Cap(), nInner-j0)
@@ -258,8 +291,8 @@ func (j *JobValuer) valueOuter(i, nInner int, outer OuterState, sc *scratch) []f
 			j.addPresentValues(outer.FundReturn, j.src.Inner(i, k, outer.Scenario, 1), sc)
 		}
 	}
-	for bi := range sc.y1 {
-		sc.y1[bi] /= float64(nInner)
+	for bi, s := range j.slots {
+		sc.y1[bi] = sc.sums[s] / float64(nInner)
 	}
 	return sc.y1
 }

@@ -338,6 +338,84 @@ func TestSingleBlockValuerIsTheOneBlockJob(t *testing.T) {
 	}
 }
 
+// onBases copies blocks once per basis, basis-major, as a campaign's shared
+// walk lays out the base's blocks and its riders'.
+func onBases(blocks []*eeb.Block, bases ...eeb.Biometric) []*eeb.Block {
+	out := make([]*eeb.Block, 0, len(bases)*len(blocks))
+	for k, bio := range bases {
+		for _, b := range blocks {
+			c := *b
+			c.ID, c.Biometric = fmt.Sprintf("%s#%d", b.ID, k), bio
+			out = append(out, &c)
+		}
+	}
+	return out
+}
+
+// lifeBases are the best estimate and the Solvency II life stresses.
+var lifeBases = []eeb.Biometric{{}, {MortalityFactor: 1.15}, {LapseFactor: 1.5}, {MortalityFactor: 0.8}, {LapseFactor: 0.5}}
+
+// requireBooks checks how the job grouped its blocks: one book per entry of
+// widths, of that many bases.
+func requireBooks(t *testing.T, job *JobValuer, widths ...int) {
+	t.Helper()
+	got := make([]int, len(job.books))
+	for bk, book := range job.books {
+		got[bk] = book.Width()
+	}
+	if fmt.Sprint(got) != fmt.Sprint(widths) {
+		t.Fatalf("book widths %v, want %v", got, widths)
+	}
+}
+
+// TestSharedChainBasesMatchWalkingAlone: the blocks of a book on k decrement
+// bases (the three blocks of the 60-contract book, on 1..5 bases) share one
+// policy.Book per block of contracts, and each values bit for bit as it does
+// walked alone.
+func TestSharedChainBasesMatchWalkingAlone(t *testing.T) {
+	const seed = 31
+	blocks := archetypeBlocks(t, policy.ItalianCompanySpecs()[0], 6, 4, nil)
+	for k := 1; k <= len(lifeBases); k++ {
+		t.Run(fmt.Sprintf("%d bases", k), func(t *testing.T) {
+			walked := onBases(blocks, lifeBases[:k]...)
+			job, err := NewJobValuer(walked, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBooks(t, job, k, k, k)
+			requireJobMatchesReference(t, walked, seed, 0, 6)
+		})
+	}
+}
+
+// TestBlocksWithoutSharedChainsStayApart: blocks that share a walk but not
+// a readjustment chain — one contract's participation rate, technical rate
+// or term changed on the stressed basis — get books of their own and still
+// value as they do walked alone.
+func TestBlocksWithoutSharedChainsStayApart(t *testing.T) {
+	const seed = 32
+	blocks := archetypeBlocks(t, policy.ItalianCompanySpecs()[0], 6, 4, nil)[:1]
+	for name, mutate := range map[string]func(*policy.Contract){
+		"beta":           func(c *policy.Contract) { c.Beta *= 0.9 },
+		"technical rate": func(c *policy.Contract) { c.TechnicalRate += 0.005 },
+		"term":           func(c *policy.Contract) { c.Term-- },
+	} {
+		t.Run(name, func(t *testing.T) {
+			walked := onBases(blocks, lifeBases[:3]...)
+			odd := *walked[1].Portfolio
+			odd.Contracts = append([]policy.Contract(nil), odd.Contracts...)
+			mutate(&odd.Contracts[11])
+			walked[1].Portfolio = &odd
+			job, err := NewJobValuer(walked, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBooks(t, job, 2, 1)
+			requireJobMatchesReference(t, walked, seed, 0, 6)
+		})
+	}
+}
+
 func TestNewJobValuerValidation(t *testing.T) {
 	if _, err := NewJobValuer(nil, 1); err == nil {
 		t.Fatal("empty block list accepted")
@@ -391,10 +469,14 @@ func jobWalkBook(b *testing.B) []*eeb.Block {
 // walking them one after another, on the daemon's default book. per-block is
 // the N = 1 walk per block (the shape grid.RunSequential keeps as the
 // reference); job is the fused walk grid.Master and the cluster scatter.
-// BENCH_pr23.json pins both; TestValuationHotPathBenchSmoke gates them.
+// BENCH_pr25.json pins both; TestValuationHotPathBenchSmoke gates them. bases
+// is one 25-contract block on the base walk's three decrement bases (best
+// estimate, mortality, lapse), one book of three bases; BENCH_pr31.json pins
+// it.
 func BenchmarkJobWalk(b *testing.B) {
 	b.Run("per-block", benchmarkPerBlockWalk)
 	b.Run("job", benchmarkJobWalk)
+	b.Run("bases", benchmarkBasesWalk)
 }
 
 func benchmarkPerBlockWalk(b *testing.B) {
@@ -419,7 +501,15 @@ func benchmarkPerBlockWalk(b *testing.B) {
 }
 
 func benchmarkJobWalk(b *testing.B) {
-	job, err := NewJobValuer(jobWalkBook(b), 1)
+	benchmarkWalk(b, jobWalkBook(b))
+}
+
+func benchmarkBasesWalk(b *testing.B) {
+	benchmarkWalk(b, onBases(jobWalkBook(b)[:1], lifeBases[:3]...))
+}
+
+func benchmarkWalk(b *testing.B, blocks []*eeb.Block) {
+	job, err := NewJobValuer(blocks, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -13,7 +13,9 @@
 // into pooled contiguous panels (stochastic.Batch), the fund is priced and
 // the discount curve read once per inner path, and each block's contracts —
 // compiled once into one-pass policy.Kernels — add their present values to
-// that block's own sum. Every per-path working slice lives in a per-walk
+// that block's own sum; blocks of the same contracts on different decrement
+// bases share one readjustment chain per contract (policy.Book). Every
+// per-path working slice lives in a per-walk
 // scratch reused across all outer*inner paths, so the walk allocates
 // nothing per path. Sources that cannot batch fall back to
 // one-path-at-a-time access with the same buffered arithmetic, so both code

@@ -10,6 +10,7 @@ package eeb
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"disarcloud/internal/fund"
 	"disarcloud/internal/policy"
@@ -103,13 +104,15 @@ type Biometric struct {
 	LapseFactor float64
 }
 
-// Validate reports whether the scaling factors are admissible.
+// Validate reports whether the scaling factors are admissible: finite and
+// non-negative. NaN would poison every decrement probability and +Inf clamp
+// every one to 1.
 func (b Biometric) Validate() error {
-	if b.MortalityFactor < 0 {
-		return fmt.Errorf("eeb: negative mortality factor %v", b.MortalityFactor)
+	if f := b.MortalityFactor; !(f >= 0 && f <= math.MaxFloat64) {
+		return fmt.Errorf("eeb: mortality factor %v must be finite and non-negative", f)
 	}
-	if b.LapseFactor < 0 {
-		return fmt.Errorf("eeb: negative lapse factor %v", b.LapseFactor)
+	if f := b.LapseFactor; !(f >= 0 && f <= math.MaxFloat64) {
+		return fmt.Errorf("eeb: lapse factor %v must be finite and non-negative", f)
 	}
 	return nil
 }

@@ -264,6 +264,19 @@ func TestBiometricValidateAndScales(t *testing.T) {
 	if err := (Biometric{LapseFactor: -1}).Validate(); err == nil {
 		t.Fatal("negative lapse factor accepted")
 	}
+	// NaN fails every ordered comparison, so "f < 0" let it through; +Inf
+	// clamps every probability to 1.
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (Biometric{MortalityFactor: f}).Validate(); err == nil {
+			t.Errorf("mortality factor %v accepted", f)
+		}
+		if err := (Biometric{LapseFactor: f}).Validate(); err == nil {
+			t.Errorf("lapse factor %v accepted", f)
+		}
+	}
+	if err := (Biometric{MortalityFactor: math.MaxFloat64, LapseFactor: 0.5}).Validate(); err != nil {
+		t.Errorf("finite factors refused: %v", err)
+	}
 	got := Biometric{MortalityFactor: 1.15}.Compose(Biometric{MortalityFactor: 0.8, LapseFactor: 1.5})
 	if math.Abs(got.MortalityScale()-1.15*0.8) > 1e-12 || got.LapseScale() != 1.5 {
 		t.Fatalf("compose = %+v", got)

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 
 	"disarcloud/internal/actuarial"
 )
@@ -84,18 +85,126 @@ func (kn *Kernel) PresentValue(returns, disc []float64) float64 {
 	return pv
 }
 
-// Book is a block's contracts compiled for the walk, in contract order.
-type Book []Kernel
+// Book is a block's contracts compiled for the walk, in contract order, on
+// one or more decrement bases: one kernel per contract and basis. The bases
+// of a book share every contract's readjustment chain — a, k and the term —
+// which is what a life stress leaves alone: it moves only the weights.
+type Book struct {
+	bases [][]Kernel // per basis, one kernel per contract
+}
 
-// PresentValue returns the sum of the contracts' present values along one
-// path, added in contract order — bit for bit what a loop over the kernels
-// returns. It is the walk's one call per (block, inner path), and it stays a
-// call on purpose: inlined into the walk's per-path function, the kernel's
-// year counter is spilled to the stack and reloaded every contract-year.
-func (b Book) PresentValue(returns, disc []float64) float64 {
-	total := 0.0
-	for c := range b {
-		total += b[c].PresentValue(returns, disc)
+// NewBook returns the one-basis book of a block's compiled contracts.
+func NewBook(kernels []Kernel) Book {
+	return Book{bases: [][]Kernel{kernels}}
+}
+
+// Add appends kernels to the book as another basis and reports true when
+// they are the book's contracts on another decrement basis: as many
+// contracts, each with a and k bitwise equal to the book's and the same
+// term. Otherwise it leaves the book as it was and reports false.
+func (b *Book) Add(kernels []Kernel) bool {
+	own := b.bases[0]
+	if len(kernels) != len(own) {
+		return false
 	}
-	return total
+	for c := range own {
+		x, y := &own[c], &kernels[c]
+		if math.Float64bits(x.a) != math.Float64bits(y.a) || math.Float64bits(x.k) != math.Float64bits(y.k) || len(x.w) != len(y.w) {
+			return false
+		}
+	}
+	b.bases = append(b.bases, kernels)
+	return true
+}
+
+// Width returns the number of decrement bases the book holds.
+func (b Book) Width() int { return len(b.bases) }
+
+// AddPresentValues adds to pv[i], for every basis i, the sum of the
+// contracts' present values along one path on that basis, added in contract
+// order — bit for bit what a loop over the basis's kernels returns. Each
+// contract's chain g and its discounted value disc[t]·g are computed once
+// per year for up to three bases, and every basis accumulates dg·w[t] in a
+// local of its own; Go evaluates disc[t]*g*w[t] left to right, so a basis
+// gets the same operations in the same order as its kernel alone. Wider
+// books are walked three bases at a time.
+//
+// It is the walk's one call per (book, inner path), and it stays a call on
+// purpose: inlined into the walk's per-path function, the kernel's year
+// counter is spilled to the stack and reloaded every contract-year. For the
+// same reason a one-basis book runs its loop right here, in a frame with no
+// other call, and several bases go through addShared.
+func (b Book) AddPresentValues(returns, disc, pv []float64) {
+	if len(b.bases) > 1 {
+		b.addShared(returns, disc, pv)
+		return
+	}
+	k0, total := b.bases[0], 0.0
+	for c := range k0 {
+		total += k0[c].PresentValue(returns, disc)
+	}
+	pv[0] += total
+}
+
+// addShared is AddPresentValues for a book of several bases.
+func (b Book) addShared(returns, disc, pv []float64) {
+	pv = pv[:len(b.bases)]
+	for i := 0; i < len(b.bases); i += 3 {
+		switch bs := b.bases[i:min(i+3, len(b.bases))]; len(bs) {
+		case 1:
+			Book{bases: bs}.AddPresentValues(returns, disc, pv[i:])
+		case 2:
+			s0, s1 := presentValues2(bs[0], bs[1], returns, disc)
+			pv[i] += s0
+			pv[i+1] += s1
+		case 3:
+			s0, s1, s2 := presentValues3(bs[0], bs[1], bs[2], returns, disc)
+			pv[i] += s0
+			pv[i+1] += s1
+			pv[i+2] += s2
+		}
+	}
+}
+
+// presentValues2 is Kernel.PresentValue summed over two bases' kernels of
+// the same contracts, one chain per contract.
+func presentValues2(k0, k1 []Kernel, returns, disc []float64) (s0, s1 float64) {
+	k1 = k1[:len(k0)]
+	for c := range k0 {
+		a, k, w0 := k0[c].a, k0[c].k, k0[c].w
+		w1 := k1[c].w[:len(w0)]
+		r, d := returns[:len(w0)], disc[:len(w0)]
+		g, p0, p1 := 1.0, 0.0, 0.0
+		for t, it := range r {
+			g *= max(a*it+k, 1)
+			dg := d[t] * g
+			p0 += dg * w0[t]
+			p1 += dg * w1[t]
+		}
+		s0 += p0
+		s1 += p1
+	}
+	return s0, s1
+}
+
+// presentValues3 is presentValues2 over three bases.
+func presentValues3(k0, k1, k2 []Kernel, returns, disc []float64) (s0, s1, s2 float64) {
+	k1, k2 = k1[:len(k0)], k2[:len(k0)]
+	for c := range k0 {
+		a, k, w0 := k0[c].a, k0[c].k, k0[c].w
+		w1, w2 := k1[c].w[:len(w0)], k2[c].w[:len(w0)]
+		r, d := returns[:len(w0)], disc[:len(w0)]
+		g, p0, p1, p2 := 1.0, 0.0, 0.0, 0.0
+		for t, it := range r {
+			g *= max(a*it+k, 1)
+			dg := d[t] * g
+			p0 += dg * w0[t]
+			p1 += dg * w1[t]
+			p2 += dg * w2[t]
+		}
+		s0 += p0
+		s1 += p1
+		s2 += p2
+	}
+	return s0, s1, s2
 }

@@ -220,6 +220,173 @@ func TestInlineMaxMatchesMathMax(t *testing.T) {
 	}
 }
 
+// testBases are decrement bases a book's contracts are compiled on: the best
+// estimate, then the Solvency II life stresses (mortality +15%, lapse +50%,
+// longevity -20%, lapse -50%).
+var testBases = []struct{ mortality, lapse float64 }{{1, 1}, {1.15, 1}, {1, 1.5}, {0.8, 1}, {1, 0.5}}
+
+// basisKernels compiles contracts on basis k of testBases.
+func basisKernels(t testing.TB, contracts []Contract, k int) []Kernel {
+	t.Helper()
+	out := make([]Kernel, len(contracts))
+	for i, c := range contracts {
+		mort := actuarial.ScaledMortality{Base: actuarial.ForGender(c.Gender), Factor: testBases[k].mortality}
+		lapse := actuarial.LapseStress{Base: actuarial.DurationLapse{Initial: 0.06, Ultimate: 0.015, Decay: 0.75}, Factor: testBases[k].lapse}
+		eng, err := actuarial.NewEngine(mort, lapse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := eng.Decrements(c.Age, c.Term)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[i], err = c.Compile(dec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// bookTestContracts is a 25-contract block of the annuity-rich book: every
+// kind, terms 10..40.
+func bookTestContracts(t testing.TB) []Contract {
+	t.Helper()
+	spec := ItalianCompanySpecs()[2]
+	spec.NumContracts = 25
+	p, err := Generate(finmath.NewRNG(5), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Contracts
+}
+
+// TestBookBasesMatchTheirKernels holds a book of 1..5 bases to each basis's
+// kernels summed in contract order, bit for bit: one shared chain per
+// contract changes no operation a basis sees. The contracts' terms differ,
+// the returns straddle the guarantee, and non-finite returns poison (NaN,
+// +Inf) or floor (-Inf) every basis as they do one kernel.
+func TestBookBasesMatchTheirKernels(t *testing.T) {
+	contracts := bookTestContracts(t)
+	terms := map[int]bool{}
+	for _, c := range contracts {
+		terms[c.Term] = true
+	}
+	if len(terms) < 2 {
+		t.Fatal("every contract has the same term")
+	}
+	bases := make([][]Kernel, len(testBases))
+	for k := range bases {
+		bases[k] = basisKernels(t, contracts, k)
+	}
+	rng := finmath.NewRNG(31)
+	returns, disc := make([]float64, 43), make([]float64, 43) // longer than any term
+	for width := 1; width <= len(bases); width++ {
+		book := NewBook(bases[0])
+		for k := 1; k < width; k++ {
+			if !book.Add(bases[k]) {
+				t.Fatalf("basis %d of the same contracts refused", k)
+			}
+		}
+		if book.Width() != width {
+			t.Fatalf("book of %d bases reports width %d", width, book.Width())
+		}
+		for trial := 0; trial < 40; trial++ {
+			d := 1.0
+			for i := range returns {
+				returns[i] = 0.02 + 0.06*rng.NormFloat64()
+				d *= math.Exp(-0.02 - 0.01*rng.NormFloat64())
+				disc[i] = d
+			}
+			if bad := trial % 8; bad < 3 {
+				returns[1+3*trial%20] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[bad]
+			}
+			got := make([]float64, width)
+			for k := range got {
+				got[k] = float64(k) // the book adds to what pv holds
+			}
+			book.AddPresentValues(returns, disc, got)
+			for k := range got {
+				want := 0.0
+				for c := range bases[k] {
+					want += bases[k][c].PresentValue(returns, disc)
+				}
+				if want += float64(k); !sameValue(got[k], want) {
+					t.Fatalf("width %d trial %d basis %d: book %v (%#x), kernels %v (%#x)",
+						width, trial, k, got[k], math.Float64bits(got[k]), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestBookAddRequiresTheSameChains: a basis joins a book only when every
+// contract keeps its a, its k and its term; a change to one contract's
+// participation rate (a alone), technical rate (a and k) or term keeps it
+// out, and the book as it was.
+func TestBookAddRequiresTheSameChains(t *testing.T) {
+	contracts := bookTestContracts(t)
+	for name, mutate := range map[string]func(*Contract){
+		"beta":           func(c *Contract) { c.Beta *= 0.9 },
+		"technical rate": func(c *Contract) { c.TechnicalRate += 0.005 },
+		"term":           func(c *Contract) { c.Term-- },
+	} {
+		odd := append([]Contract(nil), contracts...)
+		mutate(&odd[17])
+		book := NewBook(basisKernels(t, contracts, 0))
+		if book.Add(basisKernels(t, odd, 1)) || book.Width() != 1 {
+			t.Errorf("a contract with another %s shares its chain (width %d)", name, book.Width())
+		}
+	}
+	book := NewBook(basisKernels(t, contracts, 0))
+	if book.Add(basisKernels(t, contracts[:24], 1)) || book.Width() != 1 {
+		t.Error("a basis with a contract missing joined the book")
+	}
+	if !book.Add(basisKernels(t, contracts, 0)) || book.Width() != 2 {
+		t.Error("the same kernels again refused")
+	}
+}
+
+// BenchmarkBookBases measures what sharing the chain buys on the base walk's
+// three bases (best estimate, mortality, lapse) of one 25-contract block
+// along one 40-year path: three one-basis books (separate) against one book
+// of three bases (shared).
+func BenchmarkBookBases(b *testing.B) {
+	contracts := bookTestContracts(b)
+	kernels := [][]Kernel{basisKernels(b, contracts, 0), basisKernels(b, contracts, 1), basisKernels(b, contracts, 2)}
+	rng := finmath.NewRNG(9)
+	returns, disc := make([]float64, 40), make([]float64, 40)
+	d := 1.0
+	for i := range returns {
+		returns[i] = 0.03 + 0.04*rng.NormFloat64()
+		d *= math.Exp(-0.02)
+		disc[i] = d
+	}
+	shared := NewBook(kernels[0])
+	separate := make([]Book, len(kernels))
+	for k := range kernels {
+		separate[k] = NewBook(kernels[k])
+		if k > 0 && !shared.Add(kernels[k]) {
+			b.Fatal("bases refused")
+		}
+	}
+	pv := make([]float64, len(kernels))
+	b.Run("separate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for k := range separate {
+				separate[k].AddPresentValues(returns, disc, pv[k:])
+			}
+		}
+	})
+	b.Run("shared", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			shared.AddPresentValues(returns, disc, pv)
+		}
+	})
+	kernelSink = pv[0]
+}
+
 // BenchmarkKernelPresentValue measures the per-(contract, path) kernel alone:
 // one 25-contract block of the annuity-rich book (terms 10..40, every kind)
 // valued along one 40-year path. It reports ns per contract-year, the unit

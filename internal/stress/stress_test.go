@@ -138,6 +138,9 @@ func TestValidateShocksRejectsDuplicatesAndBadShocks(t *testing.T) {
 	if err := (Shock{Module: "m", Biometric: eeb.Biometric{MortalityFactor: -1}}).Validate(); err == nil {
 		t.Fatal("negative biometric factor accepted")
 	}
+	if err := ValidateShocks([]Shock{{Module: "m", Biometric: eeb.Biometric{LapseFactor: math.NaN()}}}); err == nil {
+		t.Fatal("NaN lapse factor accepted")
+	}
 }
 
 func TestAggregateSingleModule(t *testing.T) {
